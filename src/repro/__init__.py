@@ -43,7 +43,7 @@ from repro.core.base import (
     build_index,
     get_scheme,
 )
-from repro.core.batch import BatchQuerier, reachable_batch
+from repro.core.batch import reachable_batch
 from repro.core.service import QueryService, ServiceMetrics
 # Importing the scheme modules registers them with the scheme registry.
 from repro.core.dual_i import DualIIndex
@@ -75,7 +75,6 @@ __all__ = [
     "ReachabilityIndex",
     "IndexStats",
     "LabelArrays",
-    "BatchQuerier",
     "reachable_batch",
     "QueryService",
     "ServiceMetrics",

@@ -22,7 +22,7 @@ from repro.core.base import (
 )
 from repro.core.dual_i import DualIIndex, DualILabelArrays
 from repro.core.dual_ii import DualIILabelArrays, DualIIIndex
-from repro.core.batch import BatchQuerier, reachable_batch
+from repro.core.batch import reachable_batch
 from repro.core.service import QueryService, ServiceMetrics
 from repro.core.dynamic import DynamicDualIndex
 from repro.core.intervals import Interval, IntervalLabeling, assign_intervals
@@ -73,7 +73,6 @@ __all__ = [
     "LabelArrays",
     "DualILabelArrays",
     "DualIILabelArrays",
-    "BatchQuerier",
     "reachable_batch",
     "QueryService",
     "ServiceMetrics",

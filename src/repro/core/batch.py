@@ -6,88 +6,26 @@ Schemes whose labels live in dense arrays answer whole batches with a
 handful of numpy gathers — no Python-level loop, an order of magnitude
 faster than calling ``reachable`` per pair.
 
-:class:`BatchQuerier` wraps the public
+:func:`reachable_batch` answers one-off batches through the public
 :meth:`~repro.core.base.ReachabilityIndex.label_arrays` kernel of *any*
 scheme that provides one (Dual-I, Dual-II, the closure matrix, interval
-sets); it touches no private attributes of the index.  The convenience
-function :func:`reachable_batch` wraps one-off calls and transparently
-falls back to the scalar loop for schemes without a kernel.  For a
-serving layer with caching, sharding and metrics on top of this, see
+sets) and transparently falls back to the scalar loop for schemes
+without a kernel.  For repeated batches with metrics, the cross-product
+matrix form, and the binary-frame path, see
 :class:`repro.core.service.QueryService`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.base import LabelArrays, ReachabilityIndex
+from repro.core.base import ReachabilityIndex
 from repro.graph.digraph import Node
 
-__all__ = ["BatchQuerier", "reachable_batch"]
-
-
-class BatchQuerier:
-    """Vectorised query evaluation over an index's public label arrays.
-
-    Raises
-    ------
-    TypeError
-        If the index exposes no vectorised kernel (its
-        ``label_arrays()`` returns ``None``); use
-        ``index.reachable_many`` for those schemes.
-    """
-
-    def __init__(self, index: ReachabilityIndex) -> None:
-        arrays = index.label_arrays()
-        if arrays is None:
-            raise TypeError(
-                f"{type(index).__name__} exposes no label arrays; use "
-                "index.reachable_many for the scalar path")
-        self.arrays: LabelArrays = arrays
-
-    def components_of(self, nodes: list[Node]) -> np.ndarray:
-        """Map original nodes to dense component ids (vector form).
-
-        Raises
-        ------
-        QueryError
-            On the first node the index does not cover.
-        """
-        return self.arrays.components_of(nodes)
-
-    def query_components(self, cu: np.ndarray,
-                         cv: np.ndarray) -> np.ndarray:
-        """Boolean reachability for aligned component-id vectors."""
-        return self.arrays.query_components(cu, cv)
-
-    def query_pairs(self, pairs: list[tuple[Node, Node]]) -> np.ndarray:
-        """Boolean answers for a list of (source, target) node pairs."""
-        return self.arrays.query_pairs(pairs)
-
-    def reachability_matrix(self, sources: list[Node],
-                            targets: list[Node]) -> np.ndarray:
-        """Dense ``len(sources) × len(targets)`` reachability matrix.
-
-        The cross-product form of :meth:`query_pairs` — useful for the
-        paper's XML-join pattern ("obtain all fiction and author
-        elements, then test reachability for every combination").
-
-        Raises
-        ------
-        QueryError
-            If any source or target is not covered by the index.
-        """
-        cu = self.components_of(sources)
-        cv = self.components_of(targets)
-        grid_u, grid_v = np.meshgrid(cu, cv, indexing="ij")
-        return self.query_components(grid_u.ravel(),
-                                     grid_v.ravel()).reshape(
-            len(sources), len(targets))
+__all__ = ["reachable_batch"]
 
 
 def reachable_batch(index: ReachabilityIndex,
                     pairs: list[tuple[Node, Node]]) -> list[bool]:
-    """One-shot vectorised batch query (see :class:`BatchQuerier`).
+    """One-shot vectorised batch query.
 
     Falls back to the scalar ``reachable`` loop for schemes without a
     vectorised kernel, so it is safe to call on any index.

@@ -88,7 +88,7 @@ class MicroBatcher:
         if policy not in ("block", "shed"):
             raise ValueError(
                 f"policy must be 'block' or 'shed', got {policy!r}")
-        self._run_batch = run_batch
+        self._evaluate = run_batch
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.max_pending = max_pending
@@ -337,7 +337,7 @@ class MicroBatcher:
                 ticket.flush_at = flush_at
         try:
             try:
-                answers = await self._run_batch(pairs)
+                answers = await self._evaluate(pairs)
             except Exception:
                 await self._execute_isolated(entries)
                 return
@@ -361,7 +361,7 @@ class MicroBatcher:
             if future.done():
                 continue
             try:
-                answers = await self._run_batch(list(entry_pairs))
+                answers = await self._evaluate(list(entry_pairs))
             except Exception as exc:
                 self.flush_failures += 1
                 if ticket is not None:

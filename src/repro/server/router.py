@@ -14,9 +14,12 @@ dispatch ring was rejected deliberately — a Python router process
 would itself be GIL-bound at roughly the single-server qps ceiling,
 capping the fleet at 1× no matter how many workers sit behind it.
 
-Generation-aware hot swap: any worker that receives a ``reload``
-forwards it here.  The parent rebuilds (or loads) the new index once,
-publishes it as generation ``g+1``, commands every worker to swap,
+Generation-aware hot swap: any worker that receives a ``reload`` or a
+mutating ``catalog`` op forwards it here.  Every catalog entry — entry
+0, the default index, like every tenant — has its own shared-memory
+segment per generation and swaps through one path: the parent rebuilds
+(or loads) the entry's new index once, publishes it as generation
+``g+1``, commands every worker to swap,
 waits for the acks, unlinks generation ``g``, and only then releases
 the requesting worker's reply — so a success reply is never observable
 before the whole fleet serves the new index, and each worker's
@@ -63,14 +66,11 @@ __all__ = ["FleetError", "WorkerFleet"]
 
 
 class _TenantPub:
-    """Parent-side shared-memory state of one tenant index."""
+    """Parent-side shared-memory state of one catalog entry's index."""
 
-    __slots__ = ("generation", "published", "segment")
+    __slots__ = ("published", "segment")
 
     def __init__(self) -> None:
-        #: Per-index generation counter (independent of the default
-        #: index's generation).
-        self.generation = 0
         self.published: PublishedIndex | None = None
         self.segment: str | None = None
 
@@ -155,9 +155,6 @@ class WorkerFleet:
     server_options:
         Picklable :class:`~repro.server.server.ServerConfig` keywords
         applied to every worker (``max_batch``, ``policy``, ...).
-    service_options:
-        :class:`~repro.core.service.QueryService` keywords for the
-        attach path.
     max_restarts / base_delay / max_delay / jitter / healthy_after /
     seed:
         Per-worker supervisor knobs, matching
@@ -192,7 +189,6 @@ class WorkerFleet:
                  port: int = 0,
                  tenants: list[dict] | None = None,
                  server_options: dict | None = None,
-                 service_options: dict | None = None,
                  max_restarts: int | None = 8,
                  base_delay: float = 0.1, max_delay: float = 5.0,
                  jitter: float = 0.25, healthy_after: float = 30.0,
@@ -210,12 +206,9 @@ class WorkerFleet:
             raise FleetError(
                 "the worker fleet needs SO_REUSEPORT accept sharding, "
                 "which this platform does not offer")
-        self._index = index
-        self._scheme = scheme
         self._host = host
         self._requested_port = port
         self._server_options = dict(server_options or {})
-        self._service_options = dict(service_options or {})
         self._max_restarts = max_restarts
         self._base_delay = base_delay
         self._max_delay = max_delay
@@ -230,12 +223,10 @@ class WorkerFleet:
         self._handles = [_WorkerHandle(i) for i in range(workers)]
         self._base_name = (f"{SEGMENT_PREFIX}{os.getpid()}-"
                            f"{secrets.token_hex(3)}")
-        self._generation = 0
-        self._published: PublishedIndex | None = None
-        # The parent's catalog registry (no serving backend — the
-        # default entry's service stays None): one source of truth for
-        # tenant names, numeric ids, schemes, and quotas, shared with
-        # the workers via the spawn manifest.
+        # The parent's catalog registry (no serving backend — every
+        # entry's service stays None): one source of truth for names,
+        # numeric ids, schemes, quotas and durable generations, shared
+        # with the workers via the spawn manifest.
         self._catalog = CatalogService(None, scheme=scheme)
         #: Durable-state subsystem (``serve --state-dir``), or
         #: ``None``.  Only the parent carries it: every fleet-wide
@@ -243,14 +234,12 @@ class WorkerFleet:
         #: and the requester is acknowledged; workers themselves
         #: never touch the state dir.
         self._state = state
-        #: The default index's durable generation (0 without
-        #: ``--state-dir``); workers mirror it so `catalog list` and
-        #: reload replies report journal generations fleet-wide.
-        self._default_generation = 0
         if state is not None:
             snap = state.entry("default")
             if snap is not None:
-                self._default_generation = snap.generation
+                # Workers mirror the journal generation through the
+                # manifest, so `catalog list` and reload replies report
+                # journal generations fleet-wide.
                 self._catalog.default.generation = snap.generation
             if state.recovery_seconds is not None:
                 # The parent recovered once for the whole fleet; hand
@@ -258,9 +247,12 @@ class WorkerFleet:
                 # ``reach_recovery_seconds`` like a single server's.
                 self._server_options["recovery_seconds"] = \
                     state.recovery_seconds
-        self._tenant_pubs: dict[str, _TenantPub] = {}
-        #: ``(entry, built index)`` pairs published at :meth:`start`.
-        self._startup_tenants: list[tuple[CatalogEntry, Any]] = []
+        default = self._catalog.default
+        self._pubs: dict[str, _TenantPub] = {default.name: _TenantPub()}
+        #: ``(entry, built index)`` pairs published at :meth:`start`,
+        #: entry 0 first.
+        self._startup: list[tuple[CatalogEntry, Any]] = [
+            (default, index)]
         for spec in (tenants or []):
             quota = (spec["quota"]
                      if isinstance(spec.get("quota"), TenantQuota)
@@ -274,11 +266,9 @@ class WorkerFleet:
                 # names, so a restarted fleet never reuses a name a
                 # dying worker may still have mapped).
                 entry.generation = spec["generation"]
-            self._tenant_pubs[entry.name] = _TenantPub()
-            self._tenant_pubs[entry.name].generation = \
-                entry.generation
+            self._pubs[entry.name] = _TenantPub()
             if spec.get("index") is not None:
-                self._startup_tenants.append((entry, spec["index"]))
+                self._startup.append((entry, spec["index"]))
         self._reserve_sock: socket.socket | None = None
         self._port: int | None = None
         self._monitor: threading.Thread | None = None
@@ -320,13 +310,15 @@ class WorkerFleet:
 
     @property
     def generation(self) -> int:
-        """The current index generation (0 at start, +1 per reload)."""
-        return self._generation
+        """The default index's current generation (0 at a fresh start,
+        the journal's generation at a durable one; +1 per reload)."""
+        return self._catalog.default.generation
 
     @property
     def segment(self) -> str:
-        """Shared-memory segment name of the current generation."""
-        return f"{self._base_name}-g{self._generation}"
+        """Shared-memory segment name of the default index's current
+        generation."""
+        return self._segment_name(DEFAULT_INDEX_ID, self.generation)
 
     def pids(self) -> list[int]:
         """Live worker PIDs (chaos tests kill/stop these)."""
@@ -334,7 +326,8 @@ class WorkerFleet:
                 if handle.alive and handle.pid is not None]
 
     def start(self, timeout: float | None = None) -> "WorkerFleet":
-        """Publish generation 0, reserve the port, spawn the fleet.
+        """Publish every startup index, reserve the port, spawn the
+        fleet.
 
         Blocks until every worker is listening (or raises
         :class:`FleetError` after cleaning up).
@@ -344,14 +337,13 @@ class WorkerFleet:
         # (SIGKILL skips _teardown): owner-pid liveness plus a magic
         # check keep live fleets' segments untouched.
         sweep_stale_segments()
-        self._published = publish_index(self._index, name=self.segment)
         try:
-            for entry, tenant_index in self._startup_tenants:
-                self._publish_tenant(entry, tenant_index)
+            for entry, index in self._startup:
+                self._publish(entry, index, entry.generation)
         except BaseException:
             self._unlink_all()
             raise
-        self._startup_tenants.clear()
+        self._startup.clear()
         # The parent's bound-but-not-listening SO_REUSEPORT socket
         # pins the port for the fleet's whole lifetime: port 0 is
         # resolved here once, restarted workers re-bind the same
@@ -453,30 +445,28 @@ class WorkerFleet:
             self._reserve_sock = None
 
     def _unlink_all(self) -> None:
-        """Unlink the default and every tenant's current segment."""
-        if self._published is not None:
-            self._published.unlink()
-            self._published = None
-        for pub in self._tenant_pubs.values():
+        """Unlink every catalog entry's current segment."""
+        for pub in self._pubs.values():
             if pub.published is not None:
                 pub.published.unlink()
                 pub.published = None
                 pub.segment = None
 
-    def _publish_tenant(self, entry: CatalogEntry,
-                        index) -> PublishedIndex | None:
-        """Budget-check and publish one tenant index generation.
+    def _segment_name(self, index_id: int, generation: int) -> str:
+        return f"{self._base_name}-i{index_id}-g{generation}"
+
+    def _publish(self, entry: CatalogEntry, index,
+                 generation: int) -> PublishedIndex | None:
+        """Budget-check and publish generation ``generation`` of
+        ``entry``'s index.
 
         Returns the *previous* generation's segment — the caller
         unlinks it only after every worker has acked the new one, so
         in-flight attaches never race an unlink.
         """
         self._catalog.check_budget(entry, index)
-        pub = self._tenant_pubs[entry.name]
-        if pub.published is not None:
-            pub.generation += 1
-        segment = (f"{self._base_name}-i{entry.index_id}"
-                   f"-g{pub.generation}")
+        pub = self._pubs[entry.name]
+        segment = self._segment_name(entry.index_id, generation)
         old = pub.published
         pub.published = publish_index(index, name=segment)
         pub.segment = segment
@@ -492,21 +482,19 @@ class WorkerFleet:
     def _spawn(self, handle: _WorkerHandle) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         options = dict(self._server_options)
-        options["service_options"] = dict(self._service_options)
-        options["default_generation"] = self._default_generation
-        # Current tenant manifest: a respawned worker attaches every
-        # tenant's *current* generation, not the one at fleet start.
-        options["tenants"] = [
+        # Current catalog manifest, entry 0 first: a respawned worker
+        # attaches every entry's *current* generation, not the one at
+        # fleet start.
+        options["catalog"] = [
             {"name": entry.name, "index_id": entry.index_id,
              "scheme": entry.scheme, "quota": entry.quota.as_dict(),
              "generation": entry.generation,
-             "segment": self._tenant_pubs[entry.name].segment}
-            for entry in self._catalog.entries()
-            if entry.name in self._tenant_pubs]
+             "segment": self._pubs[entry.name].segment}
+            for entry in self._catalog.entries()]
         process = self._ctx.Process(
             target=worker_main,
-            args=(handle.worker_id, self.segment, self._scheme,
-                  self._host, self._port, options, child_conn),
+            args=(handle.worker_id, self._host, self._port, options,
+                  child_conn),
             daemon=True,
             name=f"repro-worker-{handle.worker_id}")
         process.start()
@@ -701,7 +689,7 @@ class WorkerFleet:
         Goes through a real worker connection on purpose, so the
         public entry point and a client-sent ``reload`` exercise the
         identical forward → rebuild → publish → swap → ack pipeline.
-        ``name`` targets a tenant entry, as in the verb.
+        ``name`` targets a named entry, as in the verb.
         """
         from repro.server.client import ReachClient
 
@@ -719,7 +707,8 @@ class WorkerFleet:
         generation — last writer wins, same as the single server).
         """
         try:
-            summary = self._rebuild_and_swap(payload)
+            summary = self._swap(
+                self._catalog.lookup(payload.get("name")), payload)
         except Exception as exc:
             # Catch-all on purpose: this runs on the monitor thread,
             # and an escaped exception (say a KeyError from an unknown
@@ -741,8 +730,7 @@ class WorkerFleet:
 
     @staticmethod
     def _rebuild_index(payload: dict, default_scheme: str):
-        """Build or load the payload's index (shared by the default
-        reload and the tenant build/load paths)."""
+        """Build or load the payload's index."""
         graph_path = payload.get("graph")
         index_path = payload.get("index")
         if bool(graph_path) == bool(index_path):
@@ -788,53 +776,15 @@ class WorkerFleet:
             label_bytes=index_label_bytes(index), artifact=artifact)
         return generation
 
-    def _rebuild_and_swap(self, payload: dict) -> dict:
-        name = payload.get("name")
-        if name not in (None, "default"):
-            entry = self._catalog.lookup(name)  # unknown_index if not
-            return self._tenant_swap(entry, payload)
-        new_index, scheme_name, build_seconds = self._rebuild_index(
-            payload, self._scheme)
-        durable_gen = self._persist_install("default", 0, new_index,
-                                            scheme_name)
-        if durable_gen is not None:
-            self._default_generation = durable_gen
-            self._catalog.default.generation = durable_gen
+    def _swap(self, entry: CatalogEntry, payload: dict) -> dict:
+        """Rebuild one entry's index and move the whole fleet to it.
 
-        old_published = self._published
-        self._generation += 1
-        self._published = publish_index(new_index, name=self.segment)
-        self._scheme = scheme_name
-        acked = self._broadcast_swap(self.segment, scheme_name, 0)
-        if old_published is not None:
-            old_published.unlink()
-        self.swaps += 1
-        self.flight.record("swap", index="default",
-                           generation=self._generation,
-                           workers=len(acked))
-        stats = new_index.stats()
-        return {
-            "swapped": True,
-            "index_name": "default",
-            "scheme": scheme_name,
-            "source": "index" if payload.get("index") else "graph",
-            "nodes": stats.num_nodes,
-            "edges": stats.num_edges,
-            "build_seconds": build_seconds,
-            "phase_seconds": dict(stats.phase_seconds),
-            "index_swaps": self.swaps,
-            "generation": self._generation,
-            "workers": len(acked),
-        }
-
-    def _tenant_swap(self, entry: CatalogEntry, payload: dict) -> dict:
-        """Rebuild one tenant's index and move the whole fleet to it.
-
-        The per-index mirror of the default reload pipeline: publish
-        the tenant's next ``/dev/shm`` generation, command every
-        worker to swap *that entry only*, collect acks, then unlink
-        the previous generation.  Other tenants' segments and lanes
-        are untouched throughout.
+        The one swap pipeline for every index id (entry 0 included):
+        build or load once, journal it, publish the entry's next
+        ``/dev/shm`` generation, command every worker to swap *that
+        entry only*, collect acks, then unlink the previous
+        generation.  Other entries' segments and lanes are untouched
+        throughout.
         """
         new_index, scheme_name, build_seconds = self._rebuild_index(
             payload, entry.scheme)
@@ -843,18 +793,20 @@ class WorkerFleet:
         self._catalog.check_budget(entry, new_index)
         durable_gen = self._persist_install(
             entry.name, entry.index_id, new_index, scheme_name)
-        old_published = self._publish_tenant(entry, new_index)
+        generation = (durable_gen if durable_gen is not None
+                      else entry.generation + 1)
+        old_published = self._publish(entry, new_index, generation)
+        # Workers bump their own copy by one per install, in lockstep.
+        entry.generation = generation
         entry.scheme = scheme_name
-        if durable_gen is not None:
-            entry.generation = durable_gen
-        pub = self._tenant_pubs[entry.name]
+        pub = self._pubs[entry.name]
         acked = self._broadcast_swap(pub.segment, scheme_name,
                                      entry.index_id)
         if old_published is not None:
             old_published.unlink()
         self.swaps += 1
         self.flight.record("swap", index=entry.name,
-                           generation=pub.generation,
+                           generation=entry.generation,
                            workers=len(acked))
         stats = new_index.stats()
         return {
@@ -867,7 +819,7 @@ class WorkerFleet:
             "build_seconds": build_seconds,
             "phase_seconds": dict(stats.phase_seconds),
             "index_swaps": self.swaps,
-            "generation": pub.generation,
+            "generation": entry.generation,
             "workers": len(acked),
         }
 
@@ -926,7 +878,7 @@ class WorkerFleet:
         op = payload.get("op")
         if op == "create":
             quota = TenantQuota.from_payload(payload.get("quota"))
-            scheme = payload.get("scheme", self._scheme)
+            scheme = payload.get("scheme", self._catalog.default.scheme)
             if not isinstance(scheme, str):
                 raise ProtocolError(protocol.ERR_BAD_REQUEST,
                                     "scheme must be a string")
@@ -942,7 +894,7 @@ class WorkerFleet:
                     # durable must not exist anywhere in the fleet.
                     self._catalog.drop(entry.name)
                     raise
-            self._tenant_pubs[entry.name] = _TenantPub()
+            self._pubs[entry.name] = _TenantPub()
             spec = {"name": entry.name, "index_id": entry.index_id,
                     "scheme": entry.scheme,
                     "quota": entry.quota.as_dict(),
@@ -965,7 +917,7 @@ class WorkerFleet:
                 # Journal before the broadcast: once any worker stops
                 # answering for this entry the drop must be durable.
                 self._state.record_drop(entry.name)
-            pub = self._tenant_pubs.pop(entry.name, None)
+            pub = self._pubs.pop(entry.name, None)
             for handle in self._handles:
                 if handle.conn is not None and handle.alive:
                     try:
@@ -1001,7 +953,7 @@ class WorkerFleet:
                     "quota": quota.as_dict()}
         if op in ("build", "load"):
             entry = self._catalog.lookup(payload.get("name"))
-            if entry.name not in self._tenant_pubs:
+            if entry.index_id == DEFAULT_INDEX_ID:
                 raise ProtocolError(
                     protocol.ERR_BAD_REQUEST,
                     "use the reload verb for the default index")
@@ -1014,7 +966,7 @@ class WorkerFleet:
             swap_payload: dict[str, Any] = {field_name: source}
             if "scheme" in payload:
                 swap_payload["scheme"] = payload["scheme"]
-            return self._tenant_swap(entry, swap_payload)
+            return self._swap(entry, swap_payload)
         raise ProtocolError(
             protocol.ERR_BAD_REQUEST,
             f"unknown catalog op {op!r}; supported: create, build, "
@@ -1146,8 +1098,8 @@ class WorkerFleet:
         return {
             "workers": self.workers,
             "port": self._port,
-            "scheme": self._scheme,
-            "generation": self._generation,
+            "scheme": self._catalog.default.scheme,
+            "generation": self.generation,
             "segment": self.segment,
             "restarts": self.restarts,
             "swaps": self.swaps,
@@ -1156,8 +1108,8 @@ class WorkerFleet:
             "tenants": [
                 {"name": entry.name, "index_id": entry.index_id,
                  "scheme": entry.scheme,
-                 "generation": self._tenant_pubs[entry.name].generation,
-                 "segment": self._tenant_pubs[entry.name].segment}
+                 "generation": entry.generation,
+                 "segment": self._pubs[entry.name].segment}
                 for entry in self._catalog.entries()
-                if entry.name in self._tenant_pubs],
+                if entry.index_id != DEFAULT_INDEX_ID],
         }

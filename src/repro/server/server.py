@@ -3,15 +3,18 @@
 :class:`ReachServer` listens on a TCP port, speaks the newline-delimited
 JSON protocol of :mod:`repro.server.protocol`, and funnels every
 ``query``/``batch`` request — across *all* open connections — through
-one :class:`~repro.server.batcher.MicroBatcher`, so concurrent clients
-share single ``QueryService.query_batch()`` kernel invocations.
+the :class:`~repro.server.batcher.MicroBatcher` lane of the catalog
+entry it names, so concurrent clients share single
+``QueryService.query_batch()`` kernel invocations.  The default index
+is catalog entry 0: it serves, reloads and swaps through exactly the
+same lanes and install path as every named tenant.
 
 A connection may switch to the length-prefixed binary framing of
 :mod:`repro.server.binproto` by sending its magic preamble as the first
-request line; binary ``BATCH`` frames coalesce through a parallel
-:class:`_BinaryLane` (same admission knobs, same executor) into
-``QueryService.query_frames`` — packed pair bytes straight into the
-buffer-reusing :class:`~repro.core.fastkernel.FastKernel`, packed
+request line; binary ``BATCH`` frames coalesce through each entry's
+parallel :class:`_BinaryLane` (same admission knobs, same executor)
+into ``QueryService.query_frames`` — packed pair bytes straight into
+the buffer-reusing :class:`~repro.core.fastkernel.FastKernel`, packed
 answer bitmaps straight out, no per-pair Python objects anywhere on
 the path.
 
@@ -25,6 +28,8 @@ sections overlap with socket I/O.  Index rebuilds triggered by the
 rebuild never sits in front of query flushes; the swap itself is one
 attribute assignment, and every flush snapshots the service exactly
 once, so each flush is answered consistently by one index generation.
+A replaced or dropped service is simply let go: it owns only memory,
+freed once the last flush holding it returns.
 
 Backpressure
 ------------
@@ -51,7 +56,7 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -121,10 +126,6 @@ class ServerConfig:
     access_log_max_bytes: int | None = None
     #: Worker threads evaluating query flushes.
     executor_workers: int = 1
-    #: Retained for construction compatibility: latency percentiles
-    #: now come from fixed-bucket histograms (:mod:`repro.obs`), not a
-    #: reservoir, so this knob is accepted but unused.
-    latency_reservoir: int = 65536
     #: Bind an HTTP ``GET /metrics`` Prometheus scrape endpoint on
     #: this port (``0`` picks a free port — see
     #: ``ReachServer.metrics_port``); ``None`` disables it.
@@ -140,8 +141,6 @@ class ServerConfig:
     #: slow-query log is exempt and considers *every* request, so the
     #: exact tail is never missed.  ``1`` records every request.
     span_sample: int = 8
-    #: Keyword arguments for services built by ``reload``.
-    service_options: dict = field(default_factory=dict)
     #: Optional hook applied to every service ``reload`` creates —
     #: the fault-injection seam (:mod:`repro.testing.faults` wraps
     #: services in a ``FlakyService`` here); ``None`` is a no-op.
@@ -417,7 +416,7 @@ class _BinaryLane(MicroBatcher):
                 ticket.flush_at = flush_at
         try:
             try:
-                bitmaps = await self._run_batch(frames)
+                bitmaps = await self._evaluate(frames)
             except Exception:
                 await self._execute_isolated(entries)
                 return
@@ -436,7 +435,7 @@ class _BinaryLane(MicroBatcher):
             if future.done():
                 continue
             try:
-                bitmaps = await self._run_batch([frame.data])
+                bitmaps = await self._evaluate([frame.data])
             except Exception as exc:
                 self.flush_failures += 1
                 if ticket is not None:
@@ -458,14 +457,14 @@ class _BinaryLane(MicroBatcher):
 
 
 class ReachServer:
-    """Asyncio TCP gateway over a :class:`QueryService`.
+    """Asyncio TCP gateway over a catalog of query services.
 
     Parameters
     ----------
     service:
-        The initial serving backend.  The server takes ownership: it
-        closes this service (and every service created by ``reload``)
-        at :meth:`stop`.
+        The initial backend of catalog entry 0, the default index, or
+        ``None`` to leave entry 0 empty until its first :meth:`install`
+        (a fleet worker attaches it from the parent's manifest).
     scheme:
         Scheme name used when ``reload`` rebuilds from a graph file
         without an explicit ``scheme`` field.
@@ -473,19 +472,15 @@ class ReachServer:
         See :class:`ServerConfig`.
     """
 
-    def __init__(self, service: QueryService, *, scheme: str = "dual-i",
+    def __init__(self, service: QueryService | None, *,
+                 scheme: str = "dual-i",
                  config: ServerConfig | None = None) -> None:
-        self._service = service
-        self._scheme = scheme
         self._config = config or ServerConfig()
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._batcher: MicroBatcher | None = None
-        self._lane: _BinaryLane | None = None
         self._query_executor: ThreadPoolExecutor | None = None
         self._reload_executor: ThreadPoolExecutor | None = None
-        self._retired: list[QueryService] = []
         self._conn_counter = 0
         self._connections: set[_Connection] = set()
         self._log_file = None
@@ -514,7 +509,7 @@ class ReachServer:
         #: ``reach_build_phase_seconds{phase=...}`` histogram family.
         self._build_phases = PhaseProfiler(self.stats.registry)
         self.slow_log = SlowQueryLog(self._config.slow_log_size)
-        #: Named-index catalog; entry 0 ("default") is ``service``.
+        #: Named-index catalog; entry 0 ("default") starts on ``service``.
         self._catalog = CatalogService(service, scheme=scheme)
         self.stats.registry.register_collector(self._catalog.collect)
         #: Per-tenant SLO engine (error budgets, burn-rate alerts).
@@ -563,38 +558,9 @@ class ReachServer:
         return self._metrics_server.sockets[0].getsockname()[1]
 
     @property
-    def service(self) -> QueryService:
-        """The current serving backend (atomically swapped by reload)."""
-        return self._service
-
-    @property
     def catalog(self) -> CatalogService:
-        """The named-index catalog (default entry = :attr:`service`)."""
+        """The named-index catalog (entry 0 is the default index)."""
         return self._catalog
-
-    def add_tenant(self, name: str, service: QueryService, *,
-                   scheme: str = "dual-i",
-                   quota: TenantQuota | None = None,
-                   index_id: int | None = None) -> CatalogEntry:
-        """Register a tenant index before (or while) serving.
-
-        The programmatic twin of the ``catalog`` verb's
-        ``create``+``load`` — used by the CLI's ``--tenant`` flags and
-        the fleet worker's startup attach.  The budget check runs
-        against the entry's quota, so an oversized index is rejected
-        with :exc:`~repro.exceptions.IndexBudgetExceeded` before it
-        ever serves.
-        """
-        entry = self._catalog.create(name, scheme=scheme, quota=quota,
-                                     index_id=index_id)
-        try:
-            label = self._catalog.check_budget(entry, service.index)
-        except IndexBudgetExceeded:
-            self._catalog.drop(name)
-            raise
-        self._catalog.install(entry, service, scheme=scheme,
-                              label_bytes=label)
-        return entry
 
     async def start(self) -> None:
         """Bind the listening socket and start accepting connections."""
@@ -605,23 +571,14 @@ class ReachServer:
             thread_name_prefix="repro-serve")
         self._reload_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-reload")
-        self._batcher = MicroBatcher(
-            self._run_batch, max_batch=config.max_batch,
-            max_delay=config.max_delay, max_pending=config.max_pending,
-            policy=config.policy)
-        self._lane = _BinaryLane(
-            self._run_frames, max_batch=config.max_batch,
-            max_delay=config.max_delay, max_pending=config.max_pending,
-            policy=config.policy)
-        # The batchers keep lock-free event-loop-confined counters;
-        # the collectors render them into families at scrape time.
-        self.stats.registry.register_collector(self._batcher.collect)
-        self.stats.registry.register_collector(self._lane.collect)
-        # The default entry serves through the shared lanes; tenant
-        # entries get their own lazily (see _entry_batcher).
-        default = self._catalog.default
-        default.batcher = self._batcher
-        default.lane = self._lane
+        # Entry 0's lanes exist from start-up, so ``stats`` and the
+        # ``reach_batcher_*``/``reach_binary_lane_*`` families describe
+        # them before any traffic; the lanes keep lock-free
+        # event-loop-confined counters that the collectors render at
+        # scrape time.
+        default = self._lanes(self._catalog.default)
+        self.stats.registry.register_collector(default.batcher.collect)
+        self.stats.registry.register_collector(default.lane.collect)
         self._open_access_log()
         self.flight.record("server_start",
                            worker=config.worker_label,
@@ -692,94 +649,55 @@ class ReachServer:
                                        timeout=1.0)
             except (asyncio.TimeoutError, TimeoutError):
                 pass
-        if self._batcher is not None:
-            await self._batcher.close()
-        if self._lane is not None:
-            await self._lane.close()
         for entry in self._catalog.entries():
-            # Tenant entries own their lanes; the default entry's are
-            # the shared ones closed above.
-            if entry.batcher is not None \
-                    and entry.batcher is not self._batcher:
-                await entry.batcher.close()
-            if entry.lane is not None and entry.lane is not self._lane:
-                await entry.lane.close()
+            await self._close_lanes(entry)
         for executor in (self._query_executor, self._reload_executor):
             if executor is not None:
                 executor.shutdown(wait=True)
-        closing = {id(self._service): self._service}
-        for service in self._retired:
-            closing.setdefault(id(service), service)
-        for entry in self._catalog.entries():
-            if entry.service is not None:
-                closing.setdefault(id(entry.service), entry.service)
-        for service in closing.values():
-            service.close()
-        self._retired.clear()
         if self._log_file is not None and self._owns_log_file:
             self._log_file.close()
         self._log_file = None
 
-    # -- the shared kernel hook ----------------------------------------
-    async def _run_batch(self, pairs: list) -> list:
-        # One snapshot per flush: a hot swap mid-flush never mixes two
-        # index generations inside one answer vector.
-        service = self._service
-        assert self._loop is not None and self._query_executor is not None
-        return await self._loop.run_in_executor(
-            self._query_executor, service.query_batch, pairs)
+    # -- per-entry lanes -----------------------------------------------
+    def _lanes(self, entry: CatalogEntry) -> CatalogEntry:
+        """``entry`` with both of its lanes — JSON pairs and binary
+        frames — built on first use.
 
-    async def _run_frames(self, frames: list) -> list:
-        # Same snapshot discipline as _run_batch: one service (and so
-        # one FastKernel generation) per binary flush.
-        service = self._service
-        assert self._loop is not None and self._query_executor is not None
-        return await self._loop.run_in_executor(
-            self._query_executor, service.query_frames, frames)
-
-    # -- per-tenant lanes ----------------------------------------------
-    def _entry_batcher(self, entry: CatalogEntry) -> MicroBatcher:
-        """The entry's JSON micro-batcher, materialised on first use.
-
-        Every tenant flushes through its own lanes so one flush never
-        mixes two tenants' pairs into one kernel call, and a slow or
-        overloaded tenant queue cannot delay another tenant's flushes.
-        The run closure snapshots ``entry.service`` per flush — the
-        same generation-consistency discipline as :meth:`_run_batch`.
+        Every entry flushes through its own lanes, so one flush never
+        mixes two indexes' pairs into one kernel call and a slow or
+        overloaded tenant queue cannot delay another's flushes.  Each
+        flush snapshots ``entry.service`` exactly once: a hot swap
+        mid-flush never mixes two index generations inside one answer
+        vector, and a retired service lives exactly as long as the
+        flushes that snapshotted it.
         """
         if entry.batcher is None:
             config = self._config
 
-            async def run(pairs: list, _entry=entry) -> list:
-                service = _entry.service
-                assert self._loop is not None \
-                    and self._query_executor is not None
-                return await self._loop.run_in_executor(
-                    self._query_executor, service.query_batch, pairs)
+            def flush_through(method: str):
+                async def run(items: list) -> list:
+                    evaluate = getattr(entry.service, method)
+                    return await self._loop.run_in_executor(
+                        self._query_executor, evaluate, items)
+                return run
 
-            entry.batcher = MicroBatcher(
-                run, max_batch=config.max_batch,
-                max_delay=config.max_delay,
-                max_pending=config.max_pending, policy=config.policy)
-        return entry.batcher
+            knobs = dict(max_batch=config.max_batch,
+                         max_delay=config.max_delay,
+                         max_pending=config.max_pending,
+                         policy=config.policy)
+            entry.batcher = MicroBatcher(flush_through("query_batch"),
+                                         **knobs)
+            entry.lane = _BinaryLane(flush_through("query_frames"),
+                                     **knobs)
+        return entry
 
-    def _entry_lane(self, entry: CatalogEntry) -> "_BinaryLane":
-        """The entry's binary lane, materialised on first use."""
-        if entry.lane is None:
-            config = self._config
-
-            async def run(frames: list, _entry=entry) -> list:
-                service = _entry.service
-                assert self._loop is not None \
-                    and self._query_executor is not None
-                return await self._loop.run_in_executor(
-                    self._query_executor, service.query_frames, frames)
-
-            entry.lane = _BinaryLane(
-                run, max_batch=config.max_batch,
-                max_delay=config.max_delay,
-                max_pending=config.max_pending, policy=config.policy)
-        return entry.lane
+    @staticmethod
+    async def _close_lanes(entry: CatalogEntry) -> None:
+        """Flush and drain ``entry``'s lanes (waiters get
+        ``overloaded``)."""
+        for lane in (entry.batcher, entry.lane):
+            if lane is not None:
+                await lane.close()
 
     # -- connection handling -------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -998,9 +916,7 @@ class ReachServer:
                          ticket=early)
             return
         try:
-            entry = (self._catalog.default
-                     if index_id == DEFAULT_INDEX_ID
-                     else self._catalog.resolve_id(index_id))
+            entry = self._catalog.resolve_id(index_id)
         except ProtocolError as exc:
             self._finish(conn, request_id, "batch", num_pairs, started,
                          None, exc.code, exc.message, ticket=early)
@@ -1009,12 +925,11 @@ class ReachServer:
             self._finish(conn, request_id, "batch", 0, started,
                          (0, b""), ticket=early, entry=entry)
             return
-        assert self._lane is not None and self._loop is not None
+        assert self._loop is not None
         ticket = BatchTicket(trace, started)
         ticket.parse_done = time.perf_counter()
         frame = _FramePayload(payload, num_pairs)
-        lane = entry.lane if entry.lane is not None \
-            else self._entry_lane(entry)
+        lane = self._lanes(entry).lane
         try:
             entry.admit(num_pairs)
         except OverloadedError as exc:
@@ -1063,11 +978,12 @@ class ReachServer:
         conn.resume.set()
 
     def _fast_serve(self, line: bytes, conn: _Connection) -> bool:
-        """Hot path for ``query``/``batch``: parse, enqueue, and attach
-        a completion callback — all synchronously, with no per-request
-        task.  Returns False to defer to the :meth:`_serve_line` task
-        path, which re-parses and produces the proper error replies
-        (errors are not worth optimising)."""
+        """Hot path for ``query``/``batch`` on any catalog entry:
+        parse, resolve, enqueue, and attach a completion callback — all
+        synchronously, with no per-request task.  Returns False to
+        defer to the :meth:`_serve_line` task path, which re-parses and
+        produces the proper error replies (errors are not worth
+        optimising)."""
         started = time.perf_counter()
         try:
             doc = json.loads(line)
@@ -1079,23 +995,19 @@ class ReachServer:
                     doc, max_pairs=self._config.max_request_pairs)
             else:
                 return False
-            if doc.get("index") is not None:
-                # Tenant-indexed requests take the task path: catalog
-                # resolution and its error taxonomy stay in one place.
-                return False
+            entry = self._catalog.resolve(doc.get("index"))
             request_id = doc.get("id")
             if request_id is not None and not isinstance(
                     request_id, (str, int, float)):
                 return False
         except Exception:
             return False
-        assert self._batcher is not None and self._loop is not None
+        assert self._loop is not None
         trace = doc.get("trace")
         # None = mint lazily in _finish, only if a log consumes it.
         ticket = BatchTicket(trace if isinstance(trace, str) else None,
                              started)
         ticket.parse_done = time.perf_counter()
-        entry = self._catalog.default
         try:
             entry.admit(len(pairs))
         except OverloadedError as exc:
@@ -1104,7 +1016,7 @@ class ReachServer:
                          ticket=ticket, entry=entry)
             return True
         try:
-            future = self._batcher.try_submit(pairs, ticket)
+            future = self._lanes(entry).batcher.try_submit(pairs, ticket)
         except OverloadedError as exc:
             entry.release(len(pairs))
             self._finish(conn, request_id, verb, len(pairs), started,
@@ -1323,7 +1235,6 @@ class ReachServer:
     async def _dispatch(self, request: Request,
                         ticket: BatchTicket | None = None
                         ) -> tuple[Any, int, "CatalogEntry | None"]:
-        assert self._batcher is not None
         verb = request.verb
         if verb == "ping":
             return "pong", 0, None
@@ -1369,12 +1280,8 @@ class ReachServer:
         """
         objective = payload.get("objective")
         if objective is not None:
-            name = payload.get("index")
-            if name is None or name == "default":
-                name = self._catalog.default.name
-            else:
-                # Validate the entry exists (raises unknown_index).
-                name = self._catalog.resolve(name).name
+            # Validates the entry exists (raises unknown_index).
+            name = self._catalog.resolve(payload.get("index")).name
             try:
                 parsed = SloObjective.from_payload(objective)
             except ReproError as exc:
@@ -1401,8 +1308,7 @@ class ReachServer:
 
     async def _submit(self, entry: CatalogEntry, pairs: list,
                       ticket: BatchTicket | None = None) -> list:
-        batcher = entry.batcher if entry.batcher is not None \
-            else self._entry_batcher(entry)
+        batcher = self._lanes(entry).batcher
         entry.admit(len(pairs))
         try:
             # asyncio.timeout (3.11+) is much cheaper than wait_for,
@@ -1443,12 +1349,13 @@ class ReachServer:
         journal — so a load balancer never routes to a server still
         replaying its state.
         """
-        ready = (self._server is not None and self._batcher is not None
-                 and self._service is not None)
+        default = self._catalog.default
+        ready = (self._server is not None and default.batcher is not None
+                 and default.service is not None)
         doc = {
             "ready": ready,
             "degraded": self._degraded is not None,
-            "scheme": self._scheme,
+            "scheme": default.scheme,
         }
         if self._state is not None:
             doc["ready"] = ready and self._state.recovered
@@ -1468,20 +1375,19 @@ class ReachServer:
         never nowhere); the server/batcher lifetime counters are never
         reset by this verb, matching the original semantics.
         """
-        assert self._batcher is not None
-        service = self._service
+        default = self._catalog.default
+        service = default.service
         return {
             "protocol_version": protocol.PROTOCOL_VERSION,
-            "scheme": self._scheme,
+            "scheme": default.scheme,
             "worker": self._config.worker_label,
             "degraded": self._degraded,
             "server": self.stats.as_dict(),
             "stages": self._spans.percentiles_ms(),
             "stage_exemplars": self._spans.exemplars(reset=reset),
             "slow_queries": self.slow_log.snapshot(reset=reset),
-            "batcher": self._batcher.stats(),
-            "binary_lane": (self._lane.stats()
-                            if self._lane is not None else None),
+            "batcher": default.batcher.stats(),
+            "binary_lane": default.lane.stats(),
             "catalog": self._catalog.describe(),
             "durability": (self._state.status()
                            if self._state is not None else None),
@@ -1503,7 +1409,8 @@ class ReachServer:
         text = self.metrics_exposition(reset=reset)
         if reset:
             self.stats.started_at = time.monotonic()
-            self._service.metrics.started_at = time.monotonic()
+            self._catalog.default.service.metrics.started_at = \
+                time.monotonic()
             self.slow_log.reset()
         return {"content_type": CONTENT_TYPE, "exposition": text}
 
@@ -1514,58 +1421,29 @@ class ReachServer:
         if self._config.worker_label is not None:
             const_labels = {"worker": self._config.worker_label}
         return render(self.stats.registry,
-                      self._service.metrics.registry, reset=reset,
-                      const_labels=const_labels)
+                      self._catalog.default.service.metrics.registry,
+                      reset=reset, const_labels=const_labels)
 
     # -- hot index swap -------------------------------------------------
-    def install_service(self, new_service: QueryService,
-                        scheme: str | None = None) -> QueryService:
-        """Atomically swap the serving backend to ``new_service``.
+    def install(self, entry: CatalogEntry, service: QueryService, *,
+                scheme: str | None = None,
+                label_bytes: int | None = None) -> None:
+        """Atomically swap ``entry``'s serving backend to ``service``.
 
-        The single generation-swap primitive: the in-process ``reload``
-        and the fleet worker's parent-commanded swap both land here, so
-        the bookkeeping (swap counter, degraded flag, parking the old
-        service until shutdown) cannot diverge between the two paths.
-        Every micro-batch flush snapshots the service it answers from,
-        so in-flight flushes finish on the old generation and later
-        flushes see the new one — never a mix.  Returns the retired
-        service.
+        The one generation-swap primitive for every index: ``reload``
+        (of entry 0 or a named entry), ``catalog build``/``load`` and
+        the fleet worker's parent-commanded swaps all land here.  Every
+        micro-batch flush snapshots the service it answers from, so
+        in-flight flushes finish on the old generation and later
+        flushes see the new one — never a mix.  The replaced service
+        is let go, not closed: it owns only memory, freed once its last
+        flush returns.  A swap of the default index ends degraded mode.
         """
-        old = self._service
-        self._service = new_service
-        if scheme is not None:
-            self._scheme = scheme
-        # The catalog's default entry mirrors the serving backend, so
-        # tenant-aware paths (admission accounting, per-tenant metrics,
-        # the catalog table) stay in lockstep with the swap.
-        self._catalog.install(self._catalog.default, new_service,
-                              scheme=self._scheme)
-        self._degraded = None
+        self._catalog.install(entry, service, scheme=scheme,
+                              label_bytes=label_bytes)
+        if entry.index_id == DEFAULT_INDEX_ID:
+            self._degraded = None
         self.stats.swap()
-        # The old service may still be answering an in-progress flush
-        # on the worker thread, so closing it here would block; it is
-        # parked and closed at stop.
-        self._retired.append(old)
-        return old
-
-    def install_tenant(self, entry: CatalogEntry,
-                       new_service: QueryService, *,
-                       scheme: str | None = None,
-                       label_bytes: int | None = None
-                       ) -> QueryService | None:
-        """Hot-swap a tenant entry's serving backend.
-
-        The per-index twin of :meth:`install_service` — used by the
-        named ``reload`` path and the fleet worker's parent-commanded
-        per-index swap.  The retiring service is parked until shutdown
-        (in-flight flushes hold their per-flush snapshot of it).
-        """
-        old = self._catalog.install(entry, new_service, scheme=scheme,
-                                    label_bytes=label_bytes)
-        if old is not None:
-            self._retired.append(old)
-        self.stats.swap()
-        return old
 
     async def drop_tenant(self, name: str) -> CatalogEntry:
         """Drop a named catalog entry and drain its lanes.
@@ -1594,7 +1472,7 @@ class ReachServer:
     async def _reload(self, payload: dict) -> dict:
         if self._config.reload_handler is not None:
             # Fleet mode: the parent rebuilds once and swaps every
-            # worker via install_service; this process only forwards.
+            # worker via install; this process only forwards.
             try:
                 return await self._config.reload_handler(payload)
             except ProtocolError:
@@ -1604,19 +1482,16 @@ class ReachServer:
                 raise ProtocolError(protocol.ERR_RELOAD_FAILED,
                                     str(exc)) from None
         # An optional ``name`` field targets a catalog entry; absent
-        # (or "default") reloads the default serving backend.  The
-        # ``index`` field stays the saved-index *path*, as it always
-        # was.
+        # (or "default") reloads entry 0.  The ``index`` field stays
+        # the saved-index *path*, as it always was.
         entry = self._catalog.lookup(payload.get("name"))
-        is_default = entry.index_id == DEFAULT_INDEX_ID
         graph_path = payload.get("graph")
         index_path = payload.get("index")
         if bool(graph_path) == bool(index_path):
             raise ProtocolError(
                 protocol.ERR_BAD_REQUEST,
                 "reload requires exactly one of 'graph' or 'index'")
-        scheme = payload.get("scheme",
-                             self._scheme if is_default else entry.scheme)
+        scheme = payload.get("scheme", entry.scheme)
         if not isinstance(scheme, str):
             raise ProtocolError(protocol.ERR_BAD_REQUEST,
                                 "scheme must be a string")
@@ -1643,32 +1518,22 @@ class ReachServer:
             # so — a failed swap must never take the service down.  A
             # failed *tenant* reload degrades only that entry's answer
             # (it keeps its last good index), never the whole server.
-            if is_default:
+            if entry.index_id == DEFAULT_INDEX_ID:
                 self.note_degraded(f"{type(exc).__name__}: {exc}")
             raise ProtocolError(protocol.ERR_RELOAD_FAILED,
                                 str(exc)) from None
         scheme_name = type(index).scheme_name or scheme
-        label: int | None = None
-        if not is_default:
-            # Admission (budget) runs before the durable commit: an
-            # over-budget index must never reach the journal.
-            try:
-                label = self._catalog.check_budget(entry, index)
-            except IndexBudgetExceeded as exc:
-                raise ProtocolError(protocol.ERR_RELOAD_FAILED,
-                                    str(exc)) from None
+        # Admission (budget) runs before the durable commit: an
+        # over-budget index must never reach the journal.
+        label = self._catalog.check_budget(entry, index)
         if self._state is not None:
             await self._persist_install(entry, index, scheme_name,
                                         label)
-        new_service = QueryService(index,
-                                   **self._config.service_options)
+        new_service = QueryService(index)
         if self._config.service_wrapper is not None:
             new_service = self._config.service_wrapper(new_service)
-        if is_default:
-            self.install_service(new_service, scheme_name)
-        else:
-            self.install_tenant(entry, new_service, scheme=scheme_name,
-                                label_bytes=label)
+        self.install(entry, new_service, scheme=scheme_name,
+                     label_bytes=label)
         stats = index.stats()
         for phase, phase_secs in stats.phase_seconds.items():
             self._build_phases.record(phase, phase_secs)
@@ -1686,8 +1551,7 @@ class ReachServer:
         }
 
     async def _persist_install(self, entry: CatalogEntry, index,
-                               scheme_name: str,
-                               label: int | None) -> None:
+                               scheme_name: str, label: int) -> None:
         """Make a freshly built generation durable *before* it serves.
 
         Runs on the reload executor (artifact write + fsync can take
@@ -1703,15 +1567,11 @@ class ReachServer:
         index_id = entry.index_id
 
         def persist() -> None:
-            from repro.server.durability import index_label_bytes
-
             generation = state.next_generation(name)
             artifact = state.save_index(index, name, generation)
             state.record_install(
                 name, index_id=index_id, scheme=scheme_name,
-                generation=generation,
-                label_bytes=(label if label is not None
-                             else index_label_bytes(index)),
+                generation=generation, label_bytes=label,
                 artifact=artifact)
 
         assert self._loop is not None \
@@ -1760,7 +1620,7 @@ class ReachServer:
                                     str(exc)) from None
         if op == "create":
             quota = TenantQuota.from_payload(payload.get("quota"))
-            scheme = payload.get("scheme", self._scheme)
+            scheme = payload.get("scheme", self._catalog.default.scheme)
             if not isinstance(scheme, str):
                 raise ProtocolError(protocol.ERR_BAD_REQUEST,
                                     "scheme must be a string")
@@ -1845,23 +1705,18 @@ class ReachServer:
         return await self._reload(reload_payload)
 
     async def _retire_entry(self, entry: CatalogEntry) -> None:
-        """Drain a dropped entry: close its lanes, park its service.
+        """Drain a dropped entry: close its lanes, let go of its
+        service.
 
         Closing the lanes flushes everything already enqueued (those
         queries answer from the entry's per-flush service snapshot) and
         wakes blocked waiters with ``overloaded``; requests arriving
         after the drop answer ``unknown_index`` at resolution.
         """
-        if entry.batcher is not None \
-                and entry.batcher is not self._batcher:
-            await entry.batcher.close()
-        if entry.lane is not None and entry.lane is not self._lane:
-            await entry.lane.close()
+        await self._close_lanes(entry)
         entry.batcher = None
         entry.lane = None
-        if entry.service is not None:
-            self._retired.append(entry.service)
-            entry.service = None
+        entry.service = None
 
     # -- Prometheus HTTP scrape endpoint --------------------------------
     async def _handle_metrics_http(self, reader: asyncio.StreamReader,

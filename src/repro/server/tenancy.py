@@ -5,11 +5,13 @@ indexes — one per tenant — through a **catalog** of named entries.
 The default entry (name ``"default"``, numeric id ``0``) is the index
 the server was started with, so every pre-catalog client keeps working
 unchanged: a request without an ``index`` field (JSON) or with a zero
-index id (binary) serves from the default entry.
+index id (binary) serves from the default entry.  Apart from its
+protection against ``drop``/``build``/``load``, entry 0 is an ordinary
+entry.
 
 Each :class:`CatalogEntry` owns an independent
-:class:`~repro.core.service.QueryService` plus — materialised lazily
-by the gateway — its own micro-batcher lanes, so one tenant's flushes
+:class:`~repro.core.service.QueryService` plus — built by the gateway
+on first use — its own micro-batcher lanes, so one tenant's flushes
 never mix pairs into another tenant's kernel calls.  Layered on top is
 per-tenant **admission**: a :class:`TenantQuota` bounds concurrent
 requests (``max_inflight``), pairs admitted but unanswered
@@ -36,7 +38,7 @@ Catalog verbs (JSON protocol, ``verb="catalog"``)::
 install its index; ``quota`` replaces the entry's admission limits at
 runtime (journaled through the durable state layer when one is
 configured, so the limits survive a restart); ``drop`` removes it
-(in-flight queries finish against the retiring service).  Unknown
+(in-flight queries finish against the replaced service).  Unknown
 names answer with the ``unknown_index`` error code.
 """
 
@@ -174,9 +176,8 @@ class CatalogEntry:
         self.shed = 0
         self.inflight = 0
         self.pending_pairs = 0
-        # Per-entry micro-batcher lanes; the gateway materialises them
-        # lazily on the entry's first query so idle tenants cost
-        # nothing.
+        # Per-entry micro-batcher lanes; the gateway builds them on
+        # the entry's first query so idle tenants cost nothing.
         self.batcher = None
         self.lane = None
         quota_rate = self.quota.rate
@@ -415,12 +416,12 @@ class CatalogService:
                 scheme: str | None = None,
                 label_bytes: int | None = None
                 ) -> QueryService | None:
-        """Swap ``service`` into ``entry``; returns the retiring one.
+        """Swap ``service`` into ``entry``; returns the replaced one.
 
-        The caller (the gateway, which owns service lifecycles) parks
-        the returned service until in-flight queries drain.  Budget
-        enforcement happens in :meth:`check_budget` *before* the
-        expensive build — this method never fails.
+        In-flight flushes keep their own snapshot of the replaced
+        service, which is freed once they return.  Budget enforcement
+        happens in :meth:`check_budget` *before* the expensive build —
+        this method never fails.
         """
         old = entry.service
         entry.service = service
@@ -454,8 +455,9 @@ class CatalogService:
         """Unregister ``name`` and return its entry.
 
         The entry's service and lanes stay attached to the returned
-        object; the gateway retires them (in-flight queries keep their
-        per-flush service snapshot, so they complete correctly).
+        object; the gateway drains the lanes and lets go of the service
+        (in-flight queries keep their per-flush service snapshot, so
+        they complete correctly).
 
         Raises
         ------

@@ -4,8 +4,9 @@
 :class:`~repro.server.router.WorkerFleet` spawns ``N`` times.  Each
 worker
 
-* attaches the current index generation from the parent's
-  shared-memory segment (:mod:`repro.core.shm`) instead of rebuilding
+* attaches the current generation of every catalog entry — entry 0,
+  the default index, like every tenant — from the parent's
+  shared-memory segments (:mod:`repro.core.shm`) instead of rebuilding
   — N workers share one build;
 * runs a regular :class:`~repro.server.server.ReachServer` on the
   fleet's shared port with ``SO_REUSEPORT``, so the kernel spreads
@@ -97,14 +98,13 @@ from __future__ import annotations
 import asyncio
 import itertools
 import sys
-from functools import partial
 
 from repro.core.service import QueryService
 from repro.exceptions import CorruptIndexError, ReproError
 from repro.server import protocol
 from repro.server.protocol import ProtocolError
 from repro.server.server import ReachServer, ServerConfig
-from repro.server.tenancy import TenantQuota
+from repro.server.tenancy import CatalogEntry, TenantQuota
 
 __all__ = ["worker_main"]
 
@@ -112,39 +112,29 @@ __all__ = ["worker_main"]
 RELOAD_TIMEOUT = 120.0
 
 
-def worker_main(worker_id: int, segment: str, scheme: str, host: str,
-                port: int, options: dict, conn) -> None:
+def worker_main(worker_id: int, host: str, port: int, options: dict,
+                conn) -> None:
     """Child-process entry point (must stay importable for ``spawn``).
 
     ``options`` carries picklable :class:`ServerConfig` keyword
-    arguments plus ``service_options`` for the attach path; ``conn``
-    is this worker's end of the control pipe.
+    arguments plus ``catalog``, the parent's manifest of every catalog
+    entry (entry 0 first) with its current segment; ``conn`` is this
+    worker's end of the control pipe.
     """
     try:
         code = asyncio.run(_worker_async(
-            worker_id, segment, scheme, host, port, options, conn))
+            worker_id, host, port, options, conn))
     except KeyboardInterrupt:  # pragma: no cover - ^C races shutdown
         code = 0
     sys.exit(code)
 
 
-async def _worker_async(worker_id: int, segment: str, scheme: str,
-                        host: str, port: int, options: dict,
-                        conn) -> int:
+async def _worker_async(worker_id: int, host: str, port: int,
+                        options: dict, conn) -> int:
     loop = asyncio.get_running_loop()
     options = dict(options)
-    service_options = options.pop("service_options", {})
     reload_timeout = options.pop("reload_timeout", RELOAD_TIMEOUT)
-    tenant_specs = options.pop("tenants", [])
-    default_generation = options.pop("default_generation", 0)
-
-    try:
-        service = QueryService.from_shared_memory(segment,
-                                                  **service_options)
-    except (FileNotFoundError, CorruptIndexError, OSError) as exc:
-        _send(conn, ("attach_failed", worker_id,
-                     f"{type(exc).__name__}: {exc}"))
-        return 1
+    manifest = options.pop("catalog")
 
     pending: dict[int, asyncio.Future] = {}
     tokens = itertools.count()
@@ -193,44 +183,41 @@ async def _worker_async(worker_id: int, segment: str, scheme: str,
                           worker_label=str(worker_id),
                           reload_handler=delegate_reload,
                           catalog_handler=delegate_catalog,
-                          service_options=dict(service_options),
                           **options)
-    server = ReachServer(service, scheme=scheme, config=config)
-    if default_generation:
-        # Mirror the parent's (possibly journal-restored) default
-        # generation; later fleet swaps bump it in lockstep with the
-        # parent's durable +1s.
-        server.catalog.default.generation = default_generation
+    # Entry 0 starts empty and attaches from the manifest like every
+    # other entry.
+    server = ReachServer(None, config=config)
 
-    def attach_tenant(spec: dict) -> None:
-        """Register (and, when published, attach) one tenant entry."""
+    def register(spec: dict) -> CatalogEntry:
+        """The local entry of one manifest row, registered on first
+        sight (entry 0 always exists) and given the parent's quota."""
         quota = TenantQuota(**(spec.get("quota") or {}))
-        entry = server.catalog.create(
-            spec["name"], scheme=spec["scheme"], quota=quota,
-            index_id=spec["index_id"])
-        seg = spec.get("segment")
-        if seg is None:
-            # Registered but empty: queries answer unknown_index.  A
-            # durable fleet still reports the entry's journal
-            # generation in `catalog list`.
-            if spec.get("generation"):
-                entry.generation = spec["generation"]
-            return
-        tenant_service = QueryService.from_shared_memory(
-            seg, **service_options)
-        label = server.catalog.check_budget(entry, tenant_service.index)
-        server.catalog.install(entry, tenant_service,
-                               scheme=spec["scheme"],
-                               label_bytes=label)
-        if spec.get("generation"):
-            # Resume the parent's (possibly journal-restored)
-            # generation count instead of this process's install tally,
-            # so every worker reports the same fleet-wide number.
-            entry.generation = spec["generation"]
+        if spec["name"] not in server.catalog.names():
+            return server.catalog.create(
+                spec["name"], scheme=spec["scheme"], quota=quota,
+                index_id=spec["index_id"])
+        entry = server.catalog.lookup(spec["name"])
+        server.catalog.update_quota(entry, quota)
+        return entry
+
+    def attach(spec: dict) -> None:
+        """Register one manifest entry and attach its published
+        segment; an unpublished entry stays registered but empty
+        (queries answer ``unknown_index``)."""
+        entry = register(spec)
+        if spec["segment"] is not None:
+            service = QueryService.from_shared_memory(spec["segment"])
+            label = server.catalog.check_budget(entry, service.index)
+            server.catalog.install(entry, service, scheme=spec["scheme"],
+                                   label_bytes=label)
+        # The parent's (possibly journal-restored) generation count
+        # replaces this process's install tally, so every worker reports
+        # the same fleet-wide number; swaps then bump it in lockstep.
+        entry.generation = spec["generation"]
 
     try:
-        for tenant_spec in tenant_specs:
-            attach_tenant(tenant_spec)
+        for spec in manifest:
+            attach(spec)
     except (FileNotFoundError, CorruptIndexError, OSError,
             ReproError) as exc:
         _send(conn, ("attach_failed", worker_id,
@@ -238,35 +225,22 @@ async def _worker_async(worker_id: int, segment: str, scheme: str,
         return 1
 
     async def do_swap(new_segment: str, new_scheme: str,
-                      index_id: int = 0) -> None:
+                      index_id: int) -> None:
         try:
+            entry = server.catalog.lookup_id(index_id)
             new_service = await loop.run_in_executor(
-                None, partial(QueryService.from_shared_memory,
-                              new_segment, **service_options))
-        except (FileNotFoundError, CorruptIndexError, OSError) as exc:
-            # Keep answering from the last good generation and say so
-            # (a failed *tenant* attach degrades only that entry's
-            # freshness, not this worker's default index).
-            if index_id == 0:
-                server.note_degraded(f"{type(exc).__name__}: {exc}")
+                None, QueryService.from_shared_memory, new_segment)
+        except (ProtocolError, FileNotFoundError, CorruptIndexError,
+                OSError) as exc:
+            # Keep answering from the last good generation.  swap_err
+            # makes the parent kill this worker, and the respawn
+            # manifest carries the full current catalog (this also
+            # covers an entry unknown locally because a create raced
+            # this worker's respawn).
             _send(conn, ("swap_err", worker_id, new_segment,
                          f"{type(exc).__name__}: {exc}"))
             return
-        if index_id == 0:
-            server.install_service(new_service, new_scheme)
-        else:
-            try:
-                entry = server.catalog.lookup_id(index_id)
-            except ProtocolError as exc:
-                # Unknown locally (a create raced this worker's
-                # respawn): swap_err makes the parent kill us, and the
-                # respawn manifest carries the full current catalog.
-                _send(conn, ("swap_err", worker_id, new_segment,
-                             exc.message))
-                new_service.close()
-                return
-            server.install_tenant(entry, new_service,
-                                  scheme=new_scheme)
+        server.install(entry, new_service, scheme=new_scheme)
         _send(conn, ("swap_ok", worker_id, new_segment))
 
     async def do_drop(name: str) -> None:
@@ -307,15 +281,8 @@ async def _worker_async(worker_id: int, segment: str, scheme: str,
                                     protocol.ERR_RELOAD_FAILED),
                             doc.get("message", "catalog op failed")))
                 elif kind == "catalog_create":
-                    _, spec = message
-                    try:
-                        server.catalog.create(
-                            spec["name"], scheme=spec["scheme"],
-                            quota=TenantQuota(**(spec.get("quota")
-                                                 or {})),
-                            index_id=spec["index_id"])
-                    except ProtocolError:
-                        pass  # already registered (spawn manifest)
+                    # Possibly already registered (spawn manifest).
+                    register(message[1])
                 elif kind == "catalog_drop":
                     loop.create_task(do_drop(message[1]))
                 elif kind == "catalog_quota":

@@ -19,6 +19,7 @@ import re
 from typing import Any
 
 from repro.core.base import build_index
+from repro.core.service import QueryService
 from repro.exceptions import DatasetError
 from repro.xml.document import XMLDocument, XMLElement
 
@@ -162,31 +163,21 @@ class XMLReachabilityEngine:
         the scheme exposes label arrays (Dual-I, Dual-II, closure,
         interval — see
         :meth:`repro.core.base.ReachabilityIndex.label_arrays`) the
-        cross product is evaluated with the vectorised batch querier;
-        other schemes fall back to the scalar loop.
+        cross product is evaluated by the vectorised kernel of
+        :meth:`repro.core.service.QueryService.query_matrix`; other
+        schemes fall back to its scalar loop.
         """
         ancestors = self.document.by_tag(ancestor_tag)
         descendants = self.document.by_tag(descendant_tag)
         if not ancestors or not descendants:
             return []
-        pairs: list[tuple[XMLElement, XMLElement]] = []
-        if self.index.label_arrays() is not None:
-            from repro.core.batch import BatchQuerier
-
-            matrix = BatchQuerier(self.index).reachability_matrix(
-                [a.node_id for a in ancestors],
-                [d.node_id for d in descendants])
-            for i, a in enumerate(ancestors):
-                row = matrix[i]
-                for j, d in enumerate(descendants):
-                    if row[j] and a.node_id != d.node_id:
-                        pairs.append((a, d))
-            return pairs
-        for a in ancestors:
-            for d in descendants:
-                if a.node_id != d.node_id and self.is_descendant(a, d):
-                    pairs.append((a, d))
-        return pairs
+        matrix = QueryService(self.index).query_matrix(
+            [a.node_id for a in ancestors],
+            [d.node_id for d in descendants])
+        return [(a, d)
+                for a, row in zip(ancestors, matrix)
+                for d, hit in zip(descendants, row)
+                if hit and a.node_id != d.node_id]
 
     def count(self, expression: str) -> int:
         """Number of elements matched by ``expression`` (descendant-only

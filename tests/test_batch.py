@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.base import build_index
-from repro.core.batch import BatchQuerier, reachable_batch
+from repro.core.batch import reachable_batch
 from repro.core.dual_i import DualIIndex
+from repro.core.service import QueryService
 from repro.exceptions import QueryError
 from repro.graph.generators import gnm_random_digraph, single_rooted_dag
 from tests.conftest import sample_pairs
@@ -32,9 +33,9 @@ class TestQueryPairs:
             reachable_batch(index, [("a", "ghost")])
 
     def test_querier_reusable(self, diamond):
-        querier = BatchQuerier(DualIIndex.build(diamond))
-        first = querier.query_pairs([("a", "d")])
-        second = querier.query_pairs([("d", "a"), ("a", "a")])
+        arrays = DualIIndex.build(diamond).label_arrays()
+        first = arrays.query_pairs([("a", "d")])
+        second = arrays.query_pairs([("d", "a"), ("a", "a")])
         assert first.tolist() == [True]
         assert second.tolist() == [False, True]
 
@@ -43,18 +44,17 @@ class TestReachabilityMatrix:
     def test_matches_scalar_cross_product(self):
         g = single_rooted_dag(80, 115, max_fanout=4, seed=1)
         index = DualIIndex.build(g)
-        querier = BatchQuerier(index)
         sources = list(range(0, 80, 7))
         targets = list(range(0, 80, 5))
-        matrix = querier.reachability_matrix(sources, targets)
+        matrix = QueryService(index).query_matrix(sources, targets)
         assert matrix.shape == (len(sources), len(targets))
         for i, u in enumerate(sources):
             for j, v in enumerate(targets):
                 assert bool(matrix[i, j]) == index.reachable(u, v)
 
     def test_matrix_dtype(self, diamond):
-        querier = BatchQuerier(DualIIndex.build(diamond))
-        matrix = querier.reachability_matrix(["a"], ["d", "a"])
+        service = QueryService(DualIIndex.build(diamond))
+        matrix = service.query_matrix(["a"], ["d", "a"])
         assert matrix.dtype == np.bool_
         assert matrix.tolist() == [[True, True]]
 
@@ -84,16 +84,16 @@ class TestPerformanceShape:
         index = DualIIndex.build(g)
         pairs = sample_pairs(g, 50_000, 3)
 
-        querier = BatchQuerier(index)
-        sources = querier.components_of([u for u, _ in pairs])
-        targets = querier.components_of([v for _, v in pairs])
+        arrays = index.label_arrays()
+        sources = arrays.components_of([u for u, _ in pairs])
+        targets = arrays.components_of([v for _, v in pairs])
 
-        vector_answers = querier.query_components(sources, targets)
+        vector_answers = arrays.query_components(sources, targets)
 
         vector_seconds = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            vector_answers = querier.query_components(sources, targets)
+            vector_answers = arrays.query_components(sources, targets)
             vector_seconds = min(vector_seconds,
                                  time.perf_counter() - start)
 
@@ -119,21 +119,20 @@ class TestBatchBackends:
     @pytest.mark.parametrize("scheme",
                              ["dual-i", "dual-ii", "closure", "interval"])
     def test_querier_over_every_kernel_scheme(self, scheme):
-        """BatchQuerier works on every scheme exposing label arrays."""
+        """The label-array kernel works on every scheme exposing one."""
         g = gnm_random_digraph(50, 120, seed=4)
         index = build_index(g, scheme=scheme)
         pairs = sample_pairs(g, 400, 4)
         expected = [index.reachable(u, v) for u, v in pairs]
-        assert BatchQuerier(index).query_pairs(pairs).tolist() == expected
+        assert index.label_arrays().query_pairs(pairs).tolist() \
+            == expected
 
     @pytest.mark.parametrize("scheme", ["2hop", "online-bfs", "grail"])
-    def test_kernel_less_scheme_raises_type_error(self, scheme):
+    def test_kernel_less_scheme_falls_back_to_scalar(self, scheme):
         g = gnm_random_digraph(20, 40, seed=1)
         index = build_index(g, scheme=scheme)
         assert index.label_arrays() is None
-        with pytest.raises(TypeError, match="label arrays"):
-            BatchQuerier(index)
-        # ... but the one-shot helper transparently falls back.
+        # The one-shot helper transparently takes the scalar loop.
         pairs = sample_pairs(g, 50, 2)
         expected = [index.reachable(u, v) for u, v in pairs]
         assert reachable_batch(index, pairs) == expected
@@ -155,11 +154,11 @@ class TestPublicSurface:
         assert violations == []
 
     def test_matrix_unknown_node_raises(self, diamond):
-        querier = BatchQuerier(DualIIndex.build(diamond))
+        service = QueryService(DualIIndex.build(diamond))
         with pytest.raises(QueryError):
-            querier.reachability_matrix(["a"], ["ghost"])
+            service.query_matrix(["a"], ["ghost"])
         with pytest.raises(QueryError):
-            querier.reachability_matrix(["ghost"], ["a"])
+            service.query_matrix(["ghost"], ["a"])
 
     def test_label_arrays_cached_per_index(self, diamond):
         index = DualIIndex.build(diamond)

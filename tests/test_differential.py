@@ -2,7 +2,8 @@
 
 Seeded graph families × every registered scheme, cross-checking the
 scalar ``reachable``, the batched ``reachable_many``, and (where label
-arrays exist) the :class:`~repro.core.batch.BatchQuerier` kernel against
+arrays exist) the :meth:`~repro.core.base.LabelArrays.query_pairs` kernel
+against
 the reflexive transitive closure computed independently by
 :func:`repro.graph.closure.transitive_closure_bitsets`.
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.base import available_schemes, build_index
-from repro.core.batch import BatchQuerier
 from repro.core.pipeline import run_pipeline
 from repro.graph.closure import transitive_closure_bitsets
 from repro.graph.digraph import DiGraph
@@ -123,9 +123,9 @@ def test_scheme_matches_bfs_ground_truth(family, seed, scheme) -> None:
         failures.append("reachable_many")
     arrays = index.label_arrays()
     if arrays is not None:
-        kernel = BatchQuerier(index).query_pairs(pairs).tolist()
+        kernel = arrays.query_pairs(pairs).tolist()
         if kernel != expected:
-            failures.append("BatchQuerier.query_pairs")
+            failures.append("LabelArrays.query_pairs")
 
     if failures:
         edges, pair = minimise_failure(graph, scheme, options)

@@ -17,10 +17,20 @@ import pytest
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.core.base import available_schemes
+from repro.core.fastkernel import compiled_available
 
 ROOT = Path(__file__).resolve().parent.parent
 
 _MODULE_RE = re.compile(r"`(repro(?:\.[a-z_]+)+)")
+
+#: Optional compiled modules the docs may name; they import only once
+#: built, so they are checked by their own skippable test below.
+COMPILED_MODULES = {"repro.core._fastkernel"}
+
+needs_extension = pytest.mark.skipif(
+    not compiled_available(),
+    reason="repro.core._fastkernel is not built (REPRO_FAST_KERNEL=1 "
+           "python setup.py build_ext --inplace)")
 
 
 def _doc_text(name: str) -> str:
@@ -35,7 +45,7 @@ ALL_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md",
 @pytest.mark.parametrize("doc", ALL_DOCS)
 def test_referenced_modules_import(doc):
     text = _doc_text(doc)
-    for dotted in sorted(set(_MODULE_RE.findall(text))):
+    for dotted in sorted(set(_MODULE_RE.findall(text)) - COMPILED_MODULES):
         # Trim attribute tails: import the longest importable prefix and
         # resolve the rest as attributes.
         parts = dotted.split(".")
@@ -52,6 +62,14 @@ def test_referenced_modules_import(doc):
             assert hasattr(obj, attribute), \
                 f"{doc}: {dotted} missing attribute {attribute!r}"
             obj = getattr(obj, attribute)
+
+
+@needs_extension
+@pytest.mark.parametrize("dotted", sorted(COMPILED_MODULES))
+def test_compiled_modules_import(dotted):
+    assert any(f"`{dotted}" in _doc_text(doc) for doc in ALL_DOCS), \
+        f"no doc names {dotted}; drop it from COMPILED_MODULES"
+    importlib.import_module(dotted)
 
 
 def test_readme_scheme_table_matches_registry():

@@ -106,17 +106,18 @@ class TestLibraryWorkflow:
                 assert verify_witness(graph, full)
 
     def test_batch_and_analytics_agree(self):
-        """BatchQuerier, analytics counts, and scalar queries line up."""
+        """Batch answers, analytics counts, and scalar queries line up."""
         from repro.analysis.reachability import descendant_counts
         from repro.core import DualIIndex
-        from repro.core.batch import BatchQuerier
+        from repro.core.batch import reachable_batch
         from repro.graph.generators import gnm_random_digraph
 
         graph = gnm_random_digraph(80, 200, seed=7)
         index = DualIIndex.build(graph)
-        querier = BatchQuerier(index)
         nodes = list(graph.nodes())
-        matrix = querier.reachability_matrix(nodes, nodes)
+        answers = reachable_batch(index,
+                                  [(u, v) for u in nodes for v in nodes])
         counts = descendant_counts(graph)
         for i, node in enumerate(nodes):
-            assert int(matrix[i].sum()) == counts[node]
+            row = answers[i * len(nodes):(i + 1) * len(nodes)]
+            assert sum(row) == counts[node]

@@ -568,6 +568,43 @@ class TestLifecycleRaces:
                 assert replies[2 * i + 1]["result"] == \
                     t1_index.reachable(*tp)
 
+    def test_retired_services_are_freed(self, graphs):
+        """A dropped tenant's service and a reloaded default's service
+        are let go: once their in-flight flushes have drained, nothing
+        in the gateway keeps either alive."""
+        import gc
+        import weakref
+
+        graph, main_path = graphs["main"]
+        t1_graph, t1_path = graphs["t1"]
+        index = build_index(graph, scheme="dual-i")
+        main_pairs = _pairs(graph)
+        with serve(index) as handle:
+            catalog = handle.server.catalog
+            with ReachClient(port=handle.port) as client:
+                client.catalog("create", name="t1")
+                client.catalog("build", name="t1", graph=t1_path)
+                # Serve both entries over both lanes first, so every
+                # per-service structure (kernel, buffers) exists.
+                client.query_batch(_pairs(t1_graph), index="t1")
+                client.query_batch(main_pairs)
+                with BinaryReachClient(port=handle.port) as binary:
+                    binary.query_batch(_pairs(t1_graph), index_id=1)
+                    binary.query_batch(main_pairs)
+                tenant = weakref.ref(catalog.lookup("t1").service)
+                default = weakref.ref(catalog.default.service)
+                client.catalog("drop", name="t1")
+                client.reload(graph=main_path)
+                assert client.query_batch(main_pairs) == \
+                    index.reachable_many(main_pairs)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline \
+                    and (tenant() is not None or default() is not None):
+                gc.collect()
+                time.sleep(0.01)
+            assert tenant() is None, "dropped tenant's service leaked"
+            assert default() is None, "reloaded default's service leaked"
+
 
 # ---------------------------------------------------------------------
 # loadgen: per-tenant targeting and the concurrent mix
