@@ -71,8 +71,7 @@ def format_kv_table(mapping: Mapping[str, Any],
     """Render one flat mapping as a two-column metric/value table.
 
     The rendering used for single-snapshot reports — most prominently
-    :meth:`repro.core.service.ServiceMetrics.as_dict` in the
-    ``python -m repro.bench serve`` output.
+    the ``repro-reach loadgen`` summary.
     """
     rows = [{"metric": key, "value": value}
             for key, value in mapping.items()]

@@ -25,21 +25,17 @@ Subcommands
 * ``doctor``   — one-shot triage bundle against a running gateway
   (ping, health, readiness, stats, SLO alerts, flight-recorder tail,
   catalog, metrics families) with a pass/fail verdict per check;
-* ``metrics-smoke`` — end-to-end observability check (start a server
-  with the HTTP scrape endpoint, drive traffic, scrape ``/metrics``,
-  validate the Prometheus exposition and its metric families);
+* ``smoke``    — run one named CI gate from
+  :data:`repro.testing.smoke.SCENARIOS` (``serve``, ``protocols``,
+  ``fleet``, ``tenants``, ``metrics``) against a live gateway, exiting
+  nonzero with the failed assertion's message;
 * ``chaos``    — run the fault-injection soak
   (:func:`repro.testing.chaos.run_chaos_soak`): a live server plus
   verified load under a seeded schedule of network/kernel/persistence
   faults, exiting nonzero unless every fault recovered and zero wrong
   answers were observed;
-* ``bench``    — forward to the experiment runner (``repro.bench``),
-  including ``bench serve`` (the
-  :class:`repro.core.service.QueryService` throughput test),
-  ``bench build`` (the per-phase construction benchmark comparing the
-  fast and python backends, trajectory in ``BENCH_build.json``), and
-  ``bench serve-load`` (gateway throughput, micro-batched vs.
-  unbatched, trajectory in ``BENCH_serve.json``).
+* ``bench``    — forward to the paper-figure runner (``repro.bench``:
+  ``run``, ``list``, ``claims``).
 
 Examples
 --------
@@ -65,13 +61,10 @@ Examples
     repro-reach slo --port 7421 --index teamA --availability 0.995
     repro-reach doctor --port 7421
     repro-reach doctor --port 7421 --out /tmp/triage
-    repro-reach metrics-smoke
+    repro-reach smoke metrics
     repro-reach chaos --smoke
     repro-reach chaos --seed 7 --duration 10 --nodes 200
     repro-reach bench run table2 --scale quick
-    repro-reach bench serve --scheme dual-ii --queries 100000 --baseline
-    repro-reach bench build --quick --assert-speedup 1.0
-    repro-reach bench serve-load --connections 32 --assert-speedup 3
 """
 
 from __future__ import annotations
@@ -913,13 +906,19 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_metrics_smoke(args: argparse.Namespace) -> int:
-    from repro.obs.smoke import run_metrics_smoke
+def _cmd_smoke(args: argparse.Namespace) -> int:
+    import json
 
-    report = run_metrics_smoke(nodes=args.nodes, seed=args.seed)
-    for line in report.summary_lines():
-        print(line)
-    return 0 if report.ok else 1
+    from repro.testing.smoke import SCENARIOS
+
+    try:
+        report = SCENARIOS[args.scenario]()
+    except AssertionError as exc:
+        print(f"smoke {args.scenario}: FAILED: {exc}", file=sys.stderr)
+        return 1
+    print(json.dumps(report, indent=2, sort_keys=True, default=str))
+    print(f"smoke {args.scenario}: ok")
+    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -1296,13 +1295,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "as JSON files into this directory")
     doctor.add_argument("--timeout", type=float, default=10.0)
 
-    metrics_smoke = sub.add_parser(
-        "metrics-smoke",
-        help="end-to-end observability check: start a server, drive "
-             "traffic, scrape /metrics, validate the exposition")
-    metrics_smoke.add_argument("--nodes", type=int, default=200,
-                               help="synthetic graph size")
-    metrics_smoke.add_argument("--seed", type=int, default=0)
+    smoke = sub.add_parser(
+        "smoke",
+        help="run one named CI gate against a live gateway")
+    smoke.add_argument("scenario",
+                       choices=("serve", "protocols", "fleet", "tenants",
+                                "metrics"))
 
     chaos = sub.add_parser(
         "chaos",
@@ -1412,7 +1410,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "top": _cmd_top,
         "slo": _cmd_slo,
         "doctor": _cmd_doctor,
-        "metrics-smoke": _cmd_metrics_smoke,
+        "smoke": _cmd_smoke,
         "chaos": _cmd_chaos,
         "validate": _cmd_validate,
         "selftest": _cmd_selftest,

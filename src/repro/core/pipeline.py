@@ -35,7 +35,7 @@ differential tests); they differ only in construction speed.
 The :class:`DualPipeline` result carries every intermediate artefact plus
 per-phase wall-clock timings, which the benchmark harness surfaces in the
 Figure 8/9/11 indexing-time series, the MEG ablation, and the
-``bench build`` backend comparison.
+repository benchmark's traced ``pipeline.*`` layers.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ traffic, over *any* registered scheme:
 * **observability** — per-stage timers plus query counters in
   :class:`ServiceMetrics`, renderable with
   :func:`repro.bench.reporting.format_kv_table` and surfaced by the
-  ``python -m repro.bench serve`` CLI.
+  gateway's ``stats`` verb.
 
 The service is thread-safe: the metrics are lock-guarded, and the
 kernels themselves are read-only after construction.

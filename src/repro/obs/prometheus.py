@@ -9,7 +9,7 @@ protocol verb and from the optional HTTP scrape endpoint.
 
 :func:`parse_exposition` is the matching minimal validator: it checks
 every line against the exposition grammar and returns the family table,
-which is what the ``metrics-smoke`` CI gate and the tests assert
+which is what the ``smoke metrics`` CI gate and the tests assert
 against.  It is *not* a full Prometheus client — it exists so the repo
 can prove its own output is well-formed without a third-party
 dependency.

@@ -1,4 +1,4 @@
-"""End-to-end observability smoke check (``repro-reach metrics-smoke``).
+"""End-to-end observability smoke check (``repro-reach smoke metrics``).
 
 Starts a real gateway on an ephemeral port with the HTTP scrape
 endpoint enabled, drives a little traced traffic through it, then
@@ -13,8 +13,9 @@ verifies the whole observability surface from the outside:
 * the ``stats`` verb carries the per-stage percentile blocks and a
   populated slow-query log with trace IDs.
 
-Used by the CI metrics-smoke step; kept dependency-free (stdlib
-``urllib`` only) so it runs anywhere the package does.
+The ``metrics`` scenario of :mod:`repro.testing.smoke`; kept
+dependency-free (stdlib ``urllib`` only) so it runs anywhere the
+package does.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class MetricsSmokeReport:
             mark = "ok" if ok else "FAILED"
             lines.append(f"  {name:34s} {mark}"
                          + (f"  ({detail})" if detail else ""))
-        verdict = ("metrics-smoke: every check passed ✔" if self.ok
-                   else "metrics-smoke: FAILED")
+        verdict = ("metrics smoke: every check passed ✔" if self.ok
+                   else "metrics smoke: FAILED")
         return [*lines, verdict]
 
 

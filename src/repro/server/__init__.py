@@ -55,7 +55,7 @@ the library into a long-running network service:
 :class:`~repro.server.client.ReachClient` is the synchronous client
 used by the CLI and the tests, and :mod:`repro.server.loadgen` is the
 open-loop multi-connection load generator behind
-``python -m repro.bench serve-load``.
+``repro-reach loadgen`` and the ``repro-reach smoke`` scenarios.
 """
 
 from repro.server.batcher import MicroBatcher, OverloadedError

@@ -11,8 +11,7 @@ standard size-or-deadline trigger:
 * the buffer flushes immediately once it holds ``max_batch`` pairs, or
   after ``max_delay`` seconds from the first buffered request —
   whichever comes first (``max_delay <= 0`` or ``max_batch <= 1``
-  degenerates to one flush per request, the unbatched baseline the
-  ``serve-load`` benchmark compares against);
+  degenerates to one flush per request, the unbatched baseline);
 * each flush dispatches **one** evaluation of the concatenated pair
   vector and scatters the answer slices back to the per-request
   futures.

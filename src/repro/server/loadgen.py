@@ -42,7 +42,7 @@ while differentially verifying tenant B.
 
 The generator is pure asyncio and runs in one thread;
 :func:`run_loadgen` is the synchronous entry point used by
-``repro-reach loadgen`` and ``python -m repro.bench serve-load``.
+``repro-reach loadgen`` and the ``repro-reach smoke`` scenarios.
 """
 
 from __future__ import annotations

@@ -364,6 +364,12 @@ class WorkerFleet:
                 self._spawn(handle)
             deadline = time.monotonic() + timeout
             while not all(h.ready for h in self._handles):
+                if self._deferred:
+                    # A reload served from this loop parks late
+                    # workers' ``ready`` here (_collect_swap_acks).
+                    self._dispatch(self._deferred.popleft(),
+                                   during_start=True)
+                    continue
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise FleetError(

@@ -1928,7 +1928,7 @@ class ServerThread:
 
     The thread owns its own event loop; :meth:`start` blocks until the
     listening socket is bound (so ``.port`` is valid) and re-raises any
-    startup failure.  Used by the tests, the ``serve-load`` benchmark,
+    startup failure.  Used by the tests, the ``smoke serve`` scenario,
     and the load generator's self-serve mode.
     """
 

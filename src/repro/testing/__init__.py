@@ -10,7 +10,8 @@ MicroBatcher flushes), and a kill-the-process-mid-save driver for
 crash-safety checks.  :mod:`repro.testing.chaos` composes them into the
 end-to-end chaos soak: a live server plus load generator under a
 scheduled fault sequence, gated on *zero wrong answers* and bounded
-recovery time.
+recovery time.  :mod:`repro.testing.smoke` holds the named CI gates
+behind ``repro-reach smoke``.
 
 Everything here is dependency-free stdlib and safe to import in
 production code paths (nothing is injected unless explicitly armed).

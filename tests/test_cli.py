@@ -190,6 +190,33 @@ class TestBenchRunner:
             scaled_overrides("fig8", "jumbo")
 
 
+class TestSmokeCLI:
+    def test_choices_are_the_scenario_list(self, capsys):
+        from repro.testing.smoke import SCENARIOS
+
+        with pytest.raises(SystemExit):
+            cli_main(["smoke", "--help"])
+        assert "{" + ",".join(SCENARIOS) + "}" in capsys.readouterr().out
+
+    def test_scenario_report_and_failure_exit(self, monkeypatch, capsys):
+        from repro.testing import smoke
+
+        monkeypatch.setitem(smoke.SCENARIOS, "serve",
+                            lambda: {"multi_query_flushes": 3})
+        assert cli_main(["smoke", "serve"]) == 0
+        out = capsys.readouterr().out
+        assert '"multi_query_flushes": 3' in out
+        assert "smoke serve: ok" in out
+
+        def broken():
+            raise AssertionError("2 wrong answers")
+
+        monkeypatch.setitem(smoke.SCENARIOS, "fleet", broken)
+        assert cli_main(["smoke", "fleet"]) == 1
+        assert "smoke fleet: FAILED: 2 wrong answers" in \
+            capsys.readouterr().err
+
+
 class TestIndexPersistence:
     def test_build_save_then_query_index(self, tmp_path, capsys):
         graph_file = tmp_path / "g.txt"

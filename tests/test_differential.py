@@ -20,6 +20,8 @@ needed to paste into a regression test.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.base import available_schemes, build_index
@@ -30,6 +32,7 @@ from repro.graph.generators import (
     gnm_random_digraph,
     random_dag,
     random_tree,
+    single_rooted_dag,
 )
 
 SEEDS = range(17)
@@ -195,6 +198,43 @@ def test_backend_equivalence(family, seed, use_meg) -> None:
             f"fast backend diverges from python on {shrunk or witness} "
             f"(family={family} seed={seed} use_meg={use_meg}); "
             f"minimised reproducer: edges={edges}")
+
+
+def best_seconds(fn, repeats: int) -> float:
+    """Best wall-clock seconds of ``repeats`` calls to ``fn``."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def fig11_quick_graph() -> DiGraph:
+    """The Figure 11 quick-scale largest graph, the speed gates' input."""
+    return single_rooted_dag(600, 900, max_fanout=5, seed=600)
+
+
+def test_fast_backend_build_speedup_over_python() -> None:
+    """CI gate: the fast construction backend builds the Figure 11
+    quick-scale graph at least as fast as the python reference, with
+    the same ``(t, transitive links)``."""
+    graph = fig11_quick_graph()
+    signatures: dict[str, set] = {"python": set(), "fast": set()}
+
+    def build(backend: str) -> None:
+        pipeline = run_pipeline(graph, backend=backend)
+        signatures[backend].add((pipeline.t,
+                                 pipeline.num_transitive_links))
+
+    python_seconds = best_seconds(lambda: build("python"), 3)
+    fast_seconds = best_seconds(lambda: build("fast"), 3)
+    assert signatures["python"] == signatures["fast"], signatures
+    assert len(signatures["fast"]) == 1, signatures
+    speedup = python_seconds / fast_seconds
+    assert speedup >= 1.0, (
+        f"fast {fast_seconds * 1e3:.1f} ms vs python "
+        f"{python_seconds * 1e3:.1f} ms = {speedup:.2f}x (need >= 1x)")
 
 
 def test_minimiser_shrinks_and_reports(monkeypatch) -> None:

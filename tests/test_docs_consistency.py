@@ -2,9 +2,10 @@
 
 Docs drift is the classic failure mode of a repo this size; these tests
 parse the markdown files and verify that every ``repro.*`` dotted path
-imports, every scheme name in the README table is registered, every
-experiment named in DESIGN.md's index exists, and every example/bench
-file the docs point at is on disk.
+imports, every CLI subcommand the docs and CI name parses, every scheme
+name in the README table is registered, every experiment named in
+DESIGN.md's index exists, and every example/bench file the docs point
+at is on disk.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS
+from repro.bench.runner import main as bench_main
+from repro.cli import main as cli_main
 from repro.core.base import available_schemes
 from repro.core.fastkernel import compiled_available
 
@@ -39,7 +42,25 @@ def _doc_text(name: str) -> str:
 
 ALL_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md",
             "docs/THEORY.md", "docs/API.md", "docs/TUTORIAL.md",
-            "docs/DATASETS.md", "docs/RUNBOOK.md"]
+            "docs/DATASETS.md", "docs/RUNBOOK.md", "docs/OBSERVABILITY.md"]
+
+#: Files whose command lines must name subcommands that exist.
+COMMAND_FILES = ALL_DOCS + [".github/workflows/ci.yml",
+                            ".claude/skills/verify/SKILL.md"]
+
+_COMMAND_RE = re.compile(r"(python3? -m repro\.bench|repro-reach bench"
+                         r"|repro-reach|python3? -m repro\.cli)"
+                         r" ([a-z][a-z0-9-]*)")
+
+
+def _named_subcommands() -> list[tuple[str, str]]:
+    """``(runner, subcommand)`` for every command line in
+    :data:`COMMAND_FILES`; ``runner`` is ``bench`` or ``cli``."""
+    named = set()
+    for name in COMMAND_FILES:
+        for prog, sub in _COMMAND_RE.findall(_doc_text(name)):
+            named.add(("bench" if "bench" in prog else "cli", sub))
+    return sorted(named)
 
 
 @pytest.mark.parametrize("doc", ALL_DOCS)
@@ -62,6 +83,15 @@ def test_referenced_modules_import(doc):
             assert hasattr(obj, attribute), \
                 f"{doc}: {dotted} missing attribute {attribute!r}"
             obj = getattr(obj, attribute)
+
+
+@pytest.mark.parametrize("runner,sub", _named_subcommands())
+def test_named_subcommands_parse(runner, sub):
+    main = bench_main if runner == "bench" else cli_main
+    with pytest.raises(SystemExit) as excinfo:
+        main([sub, "--help"])
+    assert excinfo.value.code == 0, (
+        f"a doc or CI step names `{runner} {sub}`, which does not parse")
 
 
 @needs_extension

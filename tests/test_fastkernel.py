@@ -17,13 +17,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench.workloads import random_query_pairs
 from repro.core.base import build_index
 from repro.core.fastkernel import FastKernel, compiled_available
 from repro.core.service import QueryService
 from repro.exceptions import QueryError
 from repro.graph.digraph import DiGraph
 from repro.server import binproto
-from tests.test_differential import CASES, FAMILIES, SEEDS, ground_truth
+from tests.test_differential import (
+    CASES,
+    FAMILIES,
+    SEEDS,
+    best_seconds,
+    fig11_quick_graph,
+    ground_truth,
+)
 
 SCHEMES = ("dual-i", "dual-ii")
 
@@ -263,3 +271,26 @@ class TestServiceFrames:
                 [binproto.encode_pairs(pairs)])
             assert binproto.unpack_bitmap(3, bitmaps[0]) \
                 == service.query_batch(pairs)
+
+
+def test_pure_kernel_speedup_over_batched_numpy():
+    """CI gate: on the paper's 100k-pair workload, the pure-python
+    buffer path answers packed wire frames at least as fast as the
+    allocating ``reachable_many`` batch path it replaced."""
+    graph = fig11_quick_graph()
+    index = build_index(graph, scheme="dual-i")
+    pairs = random_query_pairs(graph, 100_000, seed=601)
+    payload = binproto.encode_pairs(pairs)
+    kernel = FastKernel(index.label_arrays(), capacity=len(pairs),
+                        use_compiled=False)
+
+    # The answer check doubles as both paths' warm-up.
+    bitmaps, total, _ = kernel.run_frames([payload])
+    assert binproto.unpack_bitmap(total, bitmaps[0]) == [
+        bool(answer) for answer in index.reachable_many(pairs)]
+    fast_seconds = best_seconds(lambda: kernel.run_frames([payload]), 5)
+    batched_seconds = best_seconds(lambda: index.reachable_many(pairs), 5)
+    speedup = batched_seconds / fast_seconds
+    assert speedup >= 1.0, (
+        f"fast buffer {fast_seconds * 1e3:.1f} ms vs batched "
+        f"{batched_seconds * 1e3:.1f} ms = {speedup:.2f}x (need >= 1x)")

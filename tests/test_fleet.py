@@ -334,3 +334,35 @@ class TestFleetTenancy:
         self._await_both_workers(fleet, serves_tenant)
         with ReachClient(port=fleet.port, timeout=60.0) as client:
             client.catalog("drop", name="ft2")
+
+
+class TestStartup:
+    def test_start_drains_ready_deferred_by_an_early_reload(self):
+        """A ``reload`` that reaches ``start()`` before every worker is
+        ready parks the late ``ready`` in ``_deferred``
+        (``_collect_swap_acks``); ``start()`` must still see it
+        instead of timing out."""
+        index = build_index(FAMILIES["sparse-dag"](0), scheme="dual-i")
+        fleet = WorkerFleet(index, scheme="dual-i", workers=2,
+                            start_timeout=30.0, probe_interval=None)
+        poll = fleet._poll_control
+        parked = []
+
+        def poll_parking_one_ready(timeout):
+            events = []
+            for event in poll(timeout):
+                if not parked and event[0] == "msg" \
+                        and event[2][0] == "ready":
+                    parked.append(event)
+                    fleet._deferred.append(event)
+                else:
+                    events.append(event)
+            return events
+
+        fleet._poll_control = poll_parking_one_ready
+        try:
+            fleet.start()
+            assert parked, "no ready event was parked"
+            assert all(handle.ready for handle in fleet._handles)
+        finally:
+            fleet.stop()
