@@ -43,7 +43,7 @@ Examples
 
     repro-reach generate dag --nodes 2000 --edges 3000 --out g.txt
     repro-reach stats g.txt
-    repro-reach build g.txt --scheme dual-ii --save g.dual-ii.json
+    repro-reach build g.txt --scheme dual-ii --save g.dual-ii.idx
     repro-reach query g.txt --scheme dual-i --pairs 17:1805 3:42
     repro-reach query g.txt --pairs-file queries.csv
     repro-reach query g.txt --random 1000 --scheme dual-ii
@@ -1073,7 +1073,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                        default="dual-i")
     build.add_argument("--save", type=Path, default=None,
                        help="persist the index (dual-i or dual-ii) as "
-                            "JSON")
+                            "a binary image (INDEX.idx)")
 
     query = sub.add_parser("query", help="answer reachability queries")
     query.add_argument("graph", type=Path, nargs="?", default=None)

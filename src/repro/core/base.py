@@ -23,8 +23,9 @@ applied uniformly across schemes, so relative comparisons are fair.
 from __future__ import annotations
 
 import abc
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Mapping, Sequence, Type
+from typing import Any, ClassVar, Sequence, Type
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from repro.graph.digraph import DiGraph, Node
 
 __all__ = [
     "INT_BYTES",
+    "DenseComponentMap",
     "IndexStats",
     "LabelArrays",
     "ReachabilityIndex",
@@ -111,6 +113,28 @@ class IndexStats:
         return row
 
 
+class DenseComponentMap(Mapping):
+    """``node -> component id`` read from a dense array (``-1``: no such
+    node) — a loaded index's node table for small non-negative ints."""
+
+    def __init__(self, lookup: np.ndarray) -> None:
+        self.lookup = lookup
+
+    def __getitem__(self, node: Node) -> int:
+        cid = -1
+        if isinstance(node, int) and 0 <= node < len(self.lookup):
+            cid = int(self.lookup[node])
+        if cid < 0:
+            raise KeyError(node)
+        return cid
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self.lookup >= 0).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.lookup >= 0))
+
+
 class LabelArrays(abc.ABC):
     """Public vectorised view of an index's label arrays.
 
@@ -152,22 +176,26 @@ class LabelArrays(abc.ABC):
         Generated graphs label nodes ``0..n-1``; for those the per-node
         dict probe is the batch bottleneck, so we flatten the mapping
         into one gather.  Non-int or very sparse node ids keep the dict.
+        A :class:`DenseComponentMap` already is such a table.
         """
         mapping = self.component_of
-        if not mapping:
+        if isinstance(mapping, DenseComponentMap):
+            lookup = mapping.lookup.astype(np.int64)
+        elif not mapping:
             return None
-        max_key = -1
-        for node in mapping:
-            if not isinstance(node, int) or isinstance(node, bool) \
-                    or node < 0:
+        else:
+            max_key = -1
+            for node in mapping:
+                if not isinstance(node, int) or isinstance(node, bool) \
+                        or node < 0:
+                    return None
+                if node > max_key:
+                    max_key = node
+            if max_key >= 4 * len(mapping) + 1024:
                 return None
-            if node > max_key:
-                max_key = node
-        if max_key >= 4 * len(mapping) + 1024:
-            return None
-        lookup = np.full(max_key + 1, -1, dtype=np.int64)
-        for node, cid in mapping.items():
-            lookup[node] = cid
+            lookup = np.full(max_key + 1, -1, dtype=np.int64)
+            for node, cid in mapping.items():
+                lookup[node] = cid
         self._lookup_complete = bool((lookup >= 0).all())
         return lookup
 

@@ -15,17 +15,16 @@ Both tests are O(1).  Cyclic inputs are condensed first; queries on
 original vertices go through the component map (vertices in the same SCC
 trivially reach each other).
 
-Implementation note: the hot query path uses plain Python lists indexed by
-dense component ids — for single-element access these are several times
-faster than numpy scalar indexing, which matters in the paper's
-100 000-query timing loops.
+Implementation note: the scalar :meth:`DualIIndex.reachable` reads
+Python-list copies of the numpy columns, made on its first call — for
+single-element access these are several times faster than numpy scalar
+indexing, which matters in the paper's 100 000-query timing loops.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 import time
+from typing import Any
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from repro.core.nontree_labels import assign_nontree_labels
 from repro.core.pipeline import DualPipeline, run_pipeline
 from repro.obs.phases import PhaseProfiler
 from repro.core.tlc_matrix import TLCMatrix, build_tlc_matrix, pack_tlc_matrix
-from repro.exceptions import QueryError
+from repro.exceptions import IndexBuildError, QueryError
 from repro.graph.digraph import DiGraph, Node
 
 __all__ = ["DualIIndex", "DualILabelArrays"]
@@ -51,27 +50,27 @@ class DualILabelArrays(LabelArrays):
 
     The attributes mirror the paper's artefacts: interval labels
     ``[starts, ends)``, non-tree labels ``⟨label_x, label_y, label_z⟩``
-    (all dense, indexed by component id) and the TLC matrix.  A batch of
-    queries is a handful of fancy-indexing gathers — no Python loop.
+    (all dense int32 columns, indexed by component id) and the TLC
+    matrix at whatever cell width it is stored in.  A batch of queries
+    is a handful of fancy-indexing gathers — no Python loop.  The
+    non-tree test compares the two gathered cells
+    (``N[x₁, z₂] > N[y₁, z₂]``) rather than subtracting them, so
+    unsigned packed cells cannot underflow.
     """
 
-    def __init__(self, component_of: dict, starts: list[int],
-                 ends: list[int], label_x: list[int], label_y: list[int],
-                 label_z: list[int],
-                 matrix_rows: list[list[int]]) -> None:
+    def __init__(self, component_of, starts, ends, label_x, label_y,
+                 label_z, matrix: np.ndarray) -> None:
         super().__init__(component_of)
-        self.starts = np.asarray(starts, dtype=np.int64)
-        self.ends = np.asarray(ends, dtype=np.int64)
-        self.label_x = np.asarray(label_x, dtype=np.int64)
-        self.label_y = np.asarray(label_y, dtype=np.int64)
-        self.label_z = np.asarray(label_z, dtype=np.int64)
-        # Backend-independent: array, packed, and bitpacked TLC layouts
-        # all unpack into the same nested row lists.
-        self.matrix = np.asarray(matrix_rows, dtype=np.int64)
+        self.starts = np.asarray(starts, dtype=np.int32)
+        self.ends = np.asarray(ends, dtype=np.int32)
+        self.label_x = np.asarray(label_x, dtype=np.int32)
+        self.label_y = np.asarray(label_y, dtype=np.int32)
+        self.label_z = np.asarray(label_z, dtype=np.int32)
+        self.matrix = matrix
         # Flat row-major view for the buffer-reusing kernel: the 2-D
         # fancy index N[x, z] becomes one gather at x * ncols + z.
-        self._flat_matrix = np.ascontiguousarray(self.matrix).ravel()
-        self._ncols = self.matrix.shape[1] if self.matrix.ndim == 2 else 0
+        self._flat_matrix = np.ascontiguousarray(matrix).reshape(-1)
+        self._ncols = matrix.shape[1]
 
     def query_components(self, cu: np.ndarray,
                          cv: np.ndarray) -> np.ndarray:
@@ -81,7 +80,7 @@ class DualILabelArrays(LabelArrays):
         tree = (a1 <= a2) & (a2 < b1)
         z2 = self.label_z[cv]
         nontree = (self.matrix[self.label_x[cu], z2]
-                   - self.matrix[self.label_y[cu], z2]) > 0
+                   > self.matrix[self.label_y[cu], z2])
         return tree | nontree | (cu == cv)
 
     def query_components_into(self, cu: np.ndarray, cv: np.ndarray,
@@ -92,9 +91,10 @@ class DualILabelArrays(LabelArrays):
 
         The same math as :meth:`query_components`, but every
         intermediate lands in a caller-owned buffer (``scratch`` holds
-        three int64 vectors ``i1``/``i2``/``i3`` and two bool vectors
-        ``b1``/``b2``, each at least ``len(cu)`` long) and the answers
-        land in ``out``.  This is the
+        int32 ``c1``–``c3`` for label gathers, int64 ``i1``/``i2`` for
+        flat matrix offsets, ``m1``/``m2`` of the matrix's dtype and
+        bool ``b1``/``b2``, each at least ``len(cu)`` long) and the
+        answers land in ``out``.  This is the
         :class:`~repro.core.fastkernel.FastKernel` hot path: at serving
         batch sizes the allocator traffic of the expression form is a
         measurable fraction of the kernel, and reusing buffers keeps
@@ -103,28 +103,26 @@ class DualILabelArrays(LabelArrays):
         harness).
         """
         n = cu.shape[0]
-        i1 = scratch["i1"][:n]
-        i2 = scratch["i2"][:n]
-        i3 = scratch["i3"][:n]
-        b1 = scratch["b1"][:n]
-        b2 = scratch["b2"][:n]
-        np.take(self.starts, cu, out=i1)            # a1
-        np.take(self.starts, cv, out=i2)            # a2
-        np.less_equal(i1, i2, out=b1)               # a1 <= a2
-        np.take(self.ends, cu, out=i3)              # b1
-        np.less(i2, i3, out=b2)                     # a2 < b1
+        c1, c2, c3 = (scratch[k][:n] for k in ("c1", "c2", "c3"))
+        i1, i2 = scratch["i1"][:n], scratch["i2"][:n]
+        m1, m2 = scratch["m1"][:n], scratch["m2"][:n]
+        b1, b2 = scratch["b1"][:n], scratch["b2"][:n]
+        np.take(self.starts, cu, out=c1)            # a1
+        np.take(self.starts, cv, out=c2)            # a2
+        np.less_equal(c1, c2, out=b1)               # a1 <= a2
+        np.take(self.ends, cu, out=c3)              # b1
+        np.less(c2, c3, out=b2)                     # a2 < b1
         np.logical_and(b1, b2, out=out)             # tree path
-        np.take(self.label_z, cv, out=i3)           # z2
-        np.take(self.label_x, cu, out=i1)
-        i1 *= self._ncols
-        i1 += i3                                    # x1 * ncols + z2
-        np.take(self.label_y, cu, out=i2)
-        i2 *= self._ncols
-        i2 += i3                                    # y1 * ncols + z2
-        np.take(self._flat_matrix, i1, out=i3)      # N[x1, z2]
-        np.take(self._flat_matrix, i2, out=i1)      # N[y1, z2]
-        i3 -= i1
-        np.greater(i3, 0, out=b1)                   # non-tree path
+        np.take(self.label_z, cv, out=c3)           # z2
+        np.take(self.label_x, cu, out=c1)
+        np.multiply(c1, self._ncols, out=i1, dtype=np.int64)
+        i1 += c3                                    # x1 * ncols + z2
+        np.take(self.label_y, cu, out=c2)
+        np.multiply(c2, self._ncols, out=i2, dtype=np.int64)
+        i2 += c3                                    # y1 * ncols + z2
+        np.take(self._flat_matrix, i1, out=m1)      # N[x1, z2]
+        np.take(self._flat_matrix, i2, out=m2)      # N[y1, z2]
+        np.greater(m1, m2, out=b1)                  # non-tree path
         np.logical_or(out, b1, out=out)
         np.equal(cu, cv, out=b2)                    # same component
         np.logical_or(out, b2, out=out)
@@ -133,31 +131,27 @@ class DualILabelArrays(LabelArrays):
 
 @register_scheme
 class DualIIndex(ReachabilityIndex):
-    """Constant-query-time dual labeling (Dual-I)."""
+    """Constant-query-time dual labeling (Dual-I): int32 label columns
+    indexed by component id plus the TLC matrix, and the ``pipeline``
+    unless loaded from an image (:mod:`repro.core.serialize`)."""
 
     scheme_name = "dual-i"
 
-    def __init__(self, pipeline: DualPipeline, tlc: TLCMatrix,
-                 starts: list[int], ends: list[int],
-                 label_x: list[int], label_y: list[int], label_z: list[int],
-                 stats: IndexStats) -> None:
+    def __init__(self, component_of, tlc,
+                 starts: np.ndarray, ends: np.ndarray,
+                 label_x: np.ndarray, label_y: np.ndarray,
+                 label_z: np.ndarray, stats: IndexStats,
+                 pipeline: DualPipeline | None = None) -> None:
         self._pipeline = pipeline
-        self._component_of = pipeline.condensation.component_of
+        self._component_of = component_of
         self._tlc = tlc
-        # Dense per-component label arrays (index = component id).
         self._starts = starts
         self._ends = ends
         self._label_x = label_x
         self._label_y = label_y
         self._label_z = label_z
-        # Row-major nested lists: one list lookup per matrix read.  The
-        # bitpacked backend unpacks into the same row cache, so query
-        # speed is layout-independent; only the resident payload differs.
-        if hasattr(tlc, "matrix"):
-            self._matrix_rows: list[list[int]] = tlc.matrix.tolist()
-        else:
-            self._matrix_rows = tlc.to_rows()
         self._stats = stats
+        self._scalar: tuple | None = None
         self._arrays: DualILabelArrays | None = None
 
     # ------------------------------------------------------------------
@@ -206,20 +200,12 @@ class DualIIndex(ReachabilityIndex):
                 tlc = bitpack_tlc_matrix(tlc)
 
         with profiler.phase("nontree_labels"):
-            nontree = assign_nontree_labels(pipeline.forest,
-                                            pipeline.labeling,
-                                            pipeline.transitive_table)
+            label_x, label_y, label_z = assign_nontree_labels(
+                pipeline.forest, pipeline.labeling,
+                pipeline.transitive_table).columns()
         pipeline.phase_seconds.update(profiler.seconds)
 
         num_components = pipeline.condensation.num_components
-        starts = list(pipeline.interval_starts)
-        ends = list(pipeline.interval_ends)
-        label_x = [0] * num_components
-        label_y = [0] * num_components
-        label_z = [0] * num_components
-        for cid in range(num_components):
-            label_x[cid], label_y[cid], label_z[cid] = nontree[cid]
-
         build_seconds = time.perf_counter() - wall_start
         stats = IndexStats(
             scheme=cls.scheme_name,
@@ -240,12 +226,24 @@ class DualIIndex(ReachabilityIndex):
                 "tlc_matrix": tlc.nbytes,
             },
         )
-        return cls(pipeline, tlc, starts, ends, label_x, label_y, label_z,
-                   stats)
+        return cls(pipeline.condensation.component_of, tlc,
+                   np.asarray(pipeline.interval_starts, dtype=np.int32),
+                   np.asarray(pipeline.interval_ends, dtype=np.int32),
+                   label_x, label_y, label_z, stats, pipeline)
 
     # ------------------------------------------------------------------
+    def _scalar_labels(self) -> tuple:
+        """List copies of the labels, made on the first scalar query."""
+        if self._scalar is None:
+            self._scalar = (dict(self._component_of),) + tuple(
+                column.tolist() for column in (
+                    self._starts, self._ends, self._label_x,
+                    self._label_y, self._label_z, self._tlc.matrix))
+        return self._scalar
+
     def reachable(self, u: Node, v: Node) -> bool:
-        component_of = self._component_of
+        component_of, starts, ends, xs, ys, zs, rows = \
+            self._scalar or self._scalar_labels()
         try:
             cu = component_of[u]
             cv = component_of[v]
@@ -253,12 +251,11 @@ class DualIIndex(ReachabilityIndex):
             raise QueryError(exc.args[0]) from None
         if cu == cv:
             return True
-        a2 = self._starts[cv]
-        if self._starts[cu] <= a2 < self._ends[cu]:
+        a2 = starts[cv]
+        if starts[cu] <= a2 < ends[cu]:
             return True
-        rows = self._matrix_rows
-        z2 = self._label_z[cv]
-        return rows[self._label_x[cu]][z2] - rows[self._label_y[cu]][z2] > 0
+        z2 = zs[cv]
+        return rows[xs[cu]][z2] > rows[ys[cu]][z2]
 
     def stats(self) -> IndexStats:
         return self._stats
@@ -269,13 +266,16 @@ class DualIIndex(ReachabilityIndex):
             self._arrays = DualILabelArrays(
                 self._component_of, self._starts, self._ends,
                 self._label_x, self._label_y, self._label_z,
-                self._matrix_rows)
+                self._tlc.matrix)
         return self._arrays
 
     # ------------------------------------------------------------------
     @property
     def pipeline(self) -> DualPipeline:
         """The preprocessing artefacts (for inspection/diagnostics)."""
+        if self._pipeline is None:
+            raise IndexBuildError(
+                "a deserialised index carries no pipeline artefacts")
         return self._pipeline
 
     @property
@@ -286,7 +286,7 @@ class DualIIndex(ReachabilityIndex):
     @property
     def t(self) -> int:
         """Number of retained non-tree edges."""
-        return self._pipeline.t
+        return self._stats.t or 0
 
     def __repr__(self) -> str:
         return (f"DualIIndex(n={self._stats.num_nodes}, "

@@ -32,7 +32,7 @@ from repro.core.base import (
 from repro.core.pipeline import DualPipeline, run_pipeline
 from repro.obs.phases import PhaseProfiler
 from repro.core.tlc_searchtree import TLCSearchTree, build_tlc_search_tree
-from repro.exceptions import QueryError
+from repro.exceptions import IndexBuildError, QueryError
 from repro.graph.digraph import DiGraph, Node
 
 __all__ = ["DualIIIndex", "DualIILabelArrays"]
@@ -48,8 +48,8 @@ class DualIILabelArrays(LabelArrays):
     sharing one row search.
     """
 
-    def __init__(self, component_of: dict, starts: list[int],
-                 ends: list[int], tree: TLCSearchTree) -> None:
+    def __init__(self, component_of, starts, ends,
+                 tree: TLCSearchTree) -> None:
         super().__init__(component_of)
         self.starts = np.asarray(starts, dtype=np.int64)
         self.ends = np.asarray(ends, dtype=np.int64)
@@ -111,19 +111,21 @@ class DualIILabelArrays(LabelArrays):
 
 @register_scheme
 class DualIIIndex(ReachabilityIndex):
-    """Logarithmic-query-time dual labeling with reduced space (Dual-II)."""
+    """Logarithmic-query-time dual labeling with reduced space (Dual-II):
+    int32 interval columns plus the TLC search tree."""
 
     scheme_name = "dual-ii"
 
-    def __init__(self, pipeline: DualPipeline, tree: TLCSearchTree,
-                 starts: list[int], ends: list[int],
-                 stats: IndexStats) -> None:
+    def __init__(self, component_of, tree: TLCSearchTree,
+                 starts: np.ndarray, ends: np.ndarray, stats: IndexStats,
+                 pipeline: DualPipeline | None = None) -> None:
         self._pipeline = pipeline
-        self._component_of = pipeline.condensation.component_of
+        self._component_of = component_of
         self._tree = tree
         self._starts = starts
         self._ends = ends
         self._stats = stats
+        self._scalar: tuple | None = None
         self._arrays: DualIILabelArrays | None = None
 
     # ------------------------------------------------------------------
@@ -142,9 +144,6 @@ class DualIIIndex(ReachabilityIndex):
         pipeline.phase_seconds.update(profiler.seconds)
 
         num_components = pipeline.condensation.num_components
-        starts = list(pipeline.interval_starts)
-        ends = list(pipeline.interval_ends)
-
         build_seconds = time.perf_counter() - wall_start
         stats = IndexStats(
             scheme=cls.scheme_name,
@@ -162,11 +161,17 @@ class DualIIIndex(ReachabilityIndex):
                 "tlc_search_tree": tree.nbytes,
             },
         )
-        return cls(pipeline, tree, starts, ends, stats)
+        return cls(pipeline.condensation.component_of, tree,
+                   np.asarray(pipeline.interval_starts, dtype=np.int32),
+                   np.asarray(pipeline.interval_ends, dtype=np.int32),
+                   stats, pipeline)
 
     # ------------------------------------------------------------------
     def reachable(self, u: Node, v: Node) -> bool:
-        component_of = self._component_of
+        if self._scalar is None:  # list copies, as in DualIIndex
+            self._scalar = (dict(self._component_of),
+                            self._starts.tolist(), self._ends.tolist())
+        component_of, starts, ends = self._scalar
         try:
             cu = component_of[u]
             cv = component_of[v]
@@ -174,8 +179,8 @@ class DualIIIndex(ReachabilityIndex):
             raise QueryError(exc.args[0]) from None
         if cu == cv:
             return True
-        a1, b1 = self._starts[cu], self._ends[cu]
-        a2 = self._starts[cv]
+        a1, b1 = starts[cu], ends[cu]
+        a2 = starts[cv]
         if a1 <= a2 < b1:
             return True
         count = self._tree.count
@@ -195,6 +200,9 @@ class DualIIIndex(ReachabilityIndex):
     @property
     def pipeline(self) -> DualPipeline:
         """The preprocessing artefacts (for inspection/diagnostics)."""
+        if self._pipeline is None:
+            raise IndexBuildError(
+                "a deserialised index carries no pipeline artefacts")
         return self._pipeline
 
     @property
@@ -205,7 +213,7 @@ class DualIIIndex(ReachabilityIndex):
     @property
     def t(self) -> int:
         """Number of retained non-tree edges."""
-        return self._pipeline.t
+        return self._stats.t or 0
 
     def __repr__(self) -> str:
         return (f"DualIIIndex(n={self._stats.num_nodes}, "

@@ -147,18 +147,10 @@ class DynamicDualIndex:
         base = build_link_table(nontree_edges, labeling)
         closed = transitive_link_table(base)
         tlc = build_tlc_matrix(closed)
-        nontree = assign_nontree_labels(forest, labeling, closed)
-        num_components = pipeline.condensation.num_components
-        label_x = [0] * num_components
-        label_y = [0] * num_components
-        label_z = [0] * num_components
-        for cid in range(num_components):
-            label_x[cid], label_y[cid], label_z[cid] = nontree[cid]
         index._tlc = tlc
-        index._matrix_rows = tlc.matrix.tolist()
-        index._label_x = label_x
-        index._label_y = label_y
-        index._label_z = label_z
+        index._label_x, index._label_y, index._label_z = \
+            assign_nontree_labels(forest, labeling, closed).columns()
+        index._scalar = index._arrays = None  # made from the old labels
         stats = index.stats()
         stats.t = len(base)
         stats.transitive_links = len(closed)

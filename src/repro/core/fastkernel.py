@@ -15,7 +15,8 @@ the whole request can stay inside preallocated numpy buffers:
   into reused index buffers;
 * the scheme kernel runs **in place** — Dual-I via
   :meth:`~repro.core.dual_i.DualILabelArrays.query_components_into`
-  (interval containment + TLC probe with zero fresh allocations),
+  (interval containment + TLC probe with zero fresh allocations, the
+  matrix gathered at its stored cell width),
   Dual-II via
   :meth:`~repro.core.dual_ii.DualIILabelArrays.query_components_into`
   (interval containment + rank-table probes of the TLC search tree,
@@ -177,13 +178,14 @@ class FastKernel:
         self._qbuf = np.empty(2 * cap, dtype="<u4")
         self._cu = np.empty(cap, dtype=np.int64)
         self._cv = np.empty(cap, dtype=np.int64)
-        self._scratch = {
-            "i1": np.empty(cap, dtype=np.int64),
-            "i2": np.empty(cap, dtype=np.int64),
-            "i3": np.empty(cap, dtype=np.int64),
-            "b1": np.empty(cap, dtype=bool),
-            "b2": np.empty(cap, dtype=bool),
-        }
+        # np.take gathers only into its source's dtype (TLC cells too).
+        self._scratch = {name: np.empty(cap, dtype) for name, dtype in (
+            ("c1", np.int32), ("c2", np.int32), ("c3", np.int32),
+            ("i1", np.int64), ("i2", np.int64), ("i3", np.int64),
+            ("b1", bool), ("b2", bool))}
+        if self._inplace:
+            for name in ("m1", "m2"):
+                self._scratch[name] = np.empty(cap, self._arrays.matrix.dtype)
         if self._rank:
             # Dual-II's encoded-probe staging buffer (two probes per
             # query — see TLCSearchTree.positive_diff_encoded_into).
@@ -222,7 +224,8 @@ class FastKernel:
             self._ext.eval_dual_i(
                 cu, cv, arrays.starts, arrays.ends, arrays.label_x,
                 arrays.label_y, arrays.label_z, arrays._flat_matrix,
-                arrays._ncols, out.view(np.uint8))
+                arrays._ncols, arrays._flat_matrix.itemsize,
+                out.view(np.uint8))
         elif self._inplace or self._rank:
             arrays.query_components_into(cu, cv, out, self._scratch)
         else:

@@ -24,6 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.intervals import IntervalLabeling
 from repro.core.linktable import LinkTable
 from repro.graph.digraph import Node
@@ -49,6 +51,11 @@ class NonTreeLabels:
 
     def __getitem__(self, node: Node) -> tuple[int, int, int]:
         return self.labels[node]
+
+    def columns(self) -> tuple:
+        """``(label_x, label_y, label_z)`` int32 columns by node id."""
+        return tuple(np.array([self.labels[cid] for cid in range(len(self))],
+                              dtype=np.int32).reshape(-1, 3).T.copy())
 
     def is_sentinel_z(self, node: Node) -> bool:
         """``True`` iff ``node`` has no ancestor with a non-tree incoming

@@ -1,130 +1,90 @@
-"""Index serialisation: persist built dual indexes and reload them.
+"""Index serialisation: one binary image for disk, /dev/shm and recovery.
 
-Labeling a massive graph is the expensive step; applications want to do
-it once and ship the labels.  This module round-trips an index through a
-single JSON document (human-inspectable and dependency-free).  Two
-schemes are supported, distinguished by a ``scheme`` tag in the header:
-
-* **Dual-I** (``format: repro-dual-i``) — interval labels, ⟨x, y, z⟩
-  non-tree labels, and the TLC matrix as nested lists (acceptable
-  because it holds at most ``(t+1)²`` small integers for ``t ≪ n``);
-* **Dual-II** (``format: repro-dual-ii``) — interval labels plus the
-  TLC search tree's two layers (row keys + per-row tail multisets).
-
-The serving layer's hot-swap path (``repro.server``) loads either
-format to warm-start without rebuilding.  Documents written before the
-scheme tag existed carry only the Dual-I format marker and keep
-loading unchanged.
-
-Node names must be JSON-representable scalars (str/int/float/bool);
-other hashables would not survive the round trip and are rejected at
-save time.
-
-Persistence is crash-safe: :func:`save_dual_index` writes to a sibling
-temporary file, fsyncs, and atomically renames, so a process killed
-mid-save can never clobber the previous good index with a partial one.
-Every document carries a sha256 ``checksum`` that
-:func:`load_dual_index` verifies, raising the typed
-:class:`~repro.exceptions.CorruptIndexError` on damaged files — the
-server's reload path catches it and degrades onto the last good index
-instead of dying.
+A Dual-I or Dual-II index is fixed-width integers by construction
+(paper §3), so it persists as one versioned little-endian *image* whose
+sections are the index's own columns (layout table: docs/API.md).  The
+file writer, the shared-memory publisher (:mod:`repro.core.shm`) and
+durable artifacts (:mod:`repro.server.durability`) all write it.  Every
+reader checks one sha256 over every byte after the digest, views the
+sections with ``np.frombuffer`` and runs :func:`_check_labels`, a
+vectorised, graph-free check of the paper's label invariants
+(docs/THEORY.md).  Bytes that are not an image — a JSON index from an
+older release among them — raise
+:class:`~repro.exceptions.IndexBuildError` naming the fix; damage of
+any kind raises :class:`~repro.exceptions.CorruptIndexError`, which the
+server's reload and boot paths turn into degraded mode.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 import os
+import struct
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from repro.core.base import IndexStats
+from repro.core.base import DenseComponentMap, IndexStats
 from repro.core.dual_i import DualIIndex
 from repro.core.dual_ii import DualIIIndex
+from repro.core.tlc_matrix import TLCMatrix, pack_tlc_matrix
+from repro.core.tlc_searchtree import TLCSearchTree
 from repro.exceptions import CorruptIndexError, IndexBuildError
 
 __all__ = [
     "FORMAT_VERSION",
-    "content_checksum",
+    "MAGIC",
     "dumps_index",
-    "index_document",
     "load_dual_index",
-    "load_index_document",
     "loads_index",
     "save_dual_index",
-    "write_atomic_json",
+    "write_atomic",
 ]
 
+MAGIC = b"RPROIDX1"
 FORMAT_VERSION = 1
 
 PathLike = Union[str, Path]
 
-_SCALAR_TYPES = (str, int, float, bool)
+#: magic, sha256 of bytes [40:], version, section count, length, scheme.
+_HEADER = struct.Struct("<8s32sIIQ8s")
+#: name, dtype (numpy notation), ndim, pad, shape (2 dims), offset, size.
+_ENTRY = struct.Struct("<16s8sII2QQQ")
+_ALIGN = 64  # every section starts on a 64-byte boundary
+#: The integer dtypes a section may have (numpy notation).
+_DTYPES = {code.encode(): code for code in ("|u1", "<u2", "<u4", "<i4",
+                                             "<i8")}
+
+#: Node-list tags: each node's text is its type tag plus str()/repr().
+_NODE_TAGS = {str: "s", int: "i", float: "f", bool: "b"}
+_NODE_DECODERS = {"s": str, "i": int, "f": float,
+                  "b": lambda text: text == "True"}
+
+_STATS_FIELDS = ("num_nodes", "num_edges", "dag_nodes", "dag_edges",
+                 "meg_edges", "t", "transitive_links")
+
+_FIX = "re-create it with `repro-reach build GRAPH --save INDEX.idx`"
 
 
-def _component_items(component_of) -> list:
-    """JSON-safe ``[tag, node, cid]`` triples of a component map."""
-    items = []
-    for node, cid in component_of.items():
-        if not isinstance(node, _SCALAR_TYPES):
-            raise IndexBuildError(
-                f"node {node!r} ({type(node).__name__}) is not "
-                "JSON-serialisable; rename nodes to str/int first")
-        # Tag the node's type so int 1 and str "1" survive distinctly.
-        tag = "s" if isinstance(node, str) else "o"
-        items.append([tag, node, cid])
-    return items
-
-
-def _stats_doc(stats: IndexStats) -> dict:
-    return {
-        "num_nodes": stats.num_nodes,
-        "num_edges": stats.num_edges,
-        "dag_nodes": stats.dag_nodes,
-        "dag_edges": stats.dag_edges,
-        "meg_edges": stats.meg_edges,
-        "t": stats.t,
-        "transitive_links": stats.transitive_links,
-        "space_bytes": stats.space_bytes,
-    }
-
-
-def _content_checksum(document: dict) -> str:
-    """Order-independent sha256 over every field except ``checksum``."""
-    body = {key: value for key, value in document.items()
-            if key != "checksum"}
-    digest = hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
-    return f"sha256:{digest}"
-
-
-#: Public name for the document checksum, shared with the durable-state
-#: manifest (:mod:`repro.server.durability`) so every checksummed JSON
-#: artefact in the system verifies the same way.
-content_checksum = _content_checksum
-
-
-def write_atomic_json(document: dict, path: PathLike) -> None:
-    """Durably write ``document`` as JSON to ``path``, atomically.
-
-    The crash-safety pattern shared by every on-disk artefact: write to
-    a sibling temporary file, flush + fsync the data, ``os.replace``
-    over the target, then fsync the directory so the rename itself
-    survives power loss.  A process killed at any point leaves either
-    the complete new file or the untouched previous one, never a
-    truncated hybrid.
-    """
+def write_atomic(data: bytes, path: PathLike) -> None:
+    """Durably write ``data`` to ``path``, atomically — the pattern
+    every on-disk artefact shares (index images, the durable-state
+    manifest): a sibling temporary file, fsync, ``os.replace`` over the
+    target, then fsync the directory so the rename itself survives
+    power loss.  A process killed at any point leaves either the
+    complete new file or the untouched previous one."""
     target = Path(path)
     directory = target.parent if str(target.parent) else Path(".")
     fd, tmp_name = tempfile.mkstemp(dir=directory,
                                     prefix=target.name + ".",
                                     suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(document))
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, target)
@@ -138,288 +98,315 @@ def write_atomic_json(document: dict, path: PathLike) -> None:
     # Persist the rename itself (directory entry) where supported.
     try:
         dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:  # pragma: no cover
         pass
-    finally:
-        os.close(dir_fd)
 
 
-def index_document(index) -> dict:
-    """The checksummed JSON document of a Dual-I or Dual-II ``index``.
+# -- writing ---------------------------------------------------------------
 
-    This is the single serialised form of an index: the file writer
-    (:func:`save_dual_index`) and the shared-memory publisher
-    (:mod:`repro.core.shm`) both emit exactly this document, so an
-    index round-trips bit-identically through either transport.
+def _node_sections(index) -> list:
+    """A dense int32 lookup when node names are small non-negative
+    ints, else a tagged UTF-8 node list (int 1 and str "1" apart)."""
+    lookup = index.label_arrays().dense_lookup()
+    if lookup is not None:
+        return [("node_lookup", lookup.astype(np.int32))]
+    texts = []
+    for node in index._component_of:
+        tag = _NODE_TAGS.get(type(node))
+        if tag is None:
+            raise IndexBuildError(
+                f"node {node!r} ({type(node).__name__}) cannot be "
+                "saved; rename nodes to str/int first")
+        texts.append((tag + (node if tag == "s" else repr(node)))
+                     .encode("utf-8", "surrogatepass"))
+    return [("node_offsets", np.cumsum([0] + [len(t) for t in texts])),
+            ("node_text", np.frombuffer(b"".join(texts), dtype=np.uint8)),
+            ("node_components", np.fromiter(
+                index._component_of.values(), np.int32, len(texts)))]
 
-    Raises
-    ------
-    IndexBuildError
-        If the scheme is not serialisable or any indexed node is not a
-        JSON scalar.
-    """
+
+def _sections(index) -> list:
     if isinstance(index, DualIIndex):
-        document = _dual_i_document(index)
+        tlc = index.tlc_matrix
+        columns = ("starts", "ends", "label_x", "label_y", "label_z")
+        scheme_sections = [
+            ("tlc_xs", np.asarray(tlc.xs, dtype=np.int32)),
+            ("tlc_ys", np.asarray(tlc.ys, dtype=np.int32)),
+            ("tlc_matrix", pack_tlc_matrix(tlc).matrix)]
     elif isinstance(index, DualIIIndex):
-        document = _dual_ii_document(index)
+        columns = ("starts", "ends")
+        rows = index.search_tree.rows  # CSR: offsets, then all tails
+        scheme_sections = [
+            ("row_ys", np.asarray(index.search_tree.row_ys, np.int32)),
+            ("row_offsets", np.cumsum([0] + [len(row) for row in rows])),
+            ("row_tails", np.fromiter(chain.from_iterable(rows), np.int32))]
     else:
         raise IndexBuildError(
             f"only Dual-I and Dual-II indexes are serialisable, got "
             f"{type(index).__name__}")
-    document["checksum"] = _content_checksum(document)
-    return document
+    stats = index.stats()
+    lines = [f"{name}={'' if value is None else value}" for name, value
+             in ((name, getattr(stats, name)) for name in _STATS_FIELDS)]
+    lines += [f"space_bytes.{key}={value}"
+              for key, value in stats.space_bytes.items()]
+    return (_node_sections(index)
+            + [(name, getattr(index, "_" + name).astype(np.int32))
+               for name in columns] + scheme_sections
+            + [("stats", np.frombuffer("\n".join(lines).encode(), np.uint8))])
+
+
+def _seal(image: bytearray) -> None:
+    """Write the sha256 of ``image[40:]`` into its header."""
+    image[8:40] = hashlib.sha256(memoryview(image)[40:]).digest()
 
 
 def dumps_index(index) -> bytes:
-    """The UTF-8 JSON bytes of :func:`index_document`."""
-    return json.dumps(index_document(index)).encode("utf-8")
+    """The image bytes of a Dual-I or Dual-II ``index``: what the file
+    writer and the shared-memory publisher both emit.
+
+    Raises :class:`IndexBuildError` if the scheme is not serialisable
+    or a node is not a str/int/float/bool.
+    """
+    sections = _sections(index)
+    offsets = [_HEADER.size + len(sections) * _ENTRY.size]
+    for _name, array in sections:  # every section 64-byte aligned
+        offsets[-1] = -(-offsets[-1] // _ALIGN) * _ALIGN
+        offsets.append(offsets[-1] + array.nbytes)
+    image = bytearray(-(-offsets[-1] // _ALIGN) * _ALIGN)
+    for k, ((name, array), start) in enumerate(zip(sections, offsets)):
+        _ENTRY.pack_into(image, _HEADER.size + k * _ENTRY.size,
+                         name.encode(), array.dtype.str.encode(),
+                         array.ndim, 0, *(array.shape + (0, 0))[:2],
+                         start, array.nbytes)
+        np.frombuffer(image, dtype=array.dtype, count=array.size,
+                      offset=start)[:] = array.reshape(-1)
+    _HEADER.pack_into(image, 0, MAGIC, b"", FORMAT_VERSION, len(sections),
+                      len(image), index.scheme_name.encode())
+    _seal(image)
+    return bytes(image)
 
 
 def save_dual_index(index, path: PathLike) -> None:
-    """Write a Dual-I or Dual-II ``index`` to ``path`` as JSON.
-
-    The write is crash-safe: the document goes to a sibling temporary
-    file which is fsynced and then atomically renamed over ``path``
-    (``os.replace``), so a crash — including ``SIGKILL`` mid-write —
-    leaves either the complete new file or the untouched previous one,
-    never a truncated hybrid.  A ``checksum`` field (sha256 over the
-    rest of the document) lets :func:`load_dual_index` detect any
-    bit-level corruption that happens after the rename.
-
-    Raises
-    ------
-    IndexBuildError
-        If the scheme is not serialisable or any indexed node is not a
-        JSON scalar.
+    """Write a Dual-I or Dual-II ``index`` to ``path`` as an image,
+    crash-safely (:func:`write_atomic`); raises as :func:`dumps_index`.
     """
-    write_atomic_json(index_document(index), path)
+    write_atomic(dumps_index(index), path)
 
 
-def _dual_i_document(index: DualIIndex) -> dict:
-    return {
-        "format": "repro-dual-i",
-        "version": FORMAT_VERSION,
-        "scheme": "dual-i",
-        "components": _component_items(index._component_of),
-        "starts": index._starts,
-        "ends": index._ends,
-        "label_x": index._label_x,
-        "label_y": index._label_y,
-        "label_z": index._label_z,
-        "tlc": {
-            "xs": list(index.tlc_matrix.xs),
-            "ys": list(index.tlc_matrix.ys),
-            # Works for every matrix backend: the plain array exposes
-            # .matrix, the packed variants expose to_rows().
-            "matrix": (index.tlc_matrix.matrix.tolist()
-                       if hasattr(index.tlc_matrix, "matrix")
-                       else index.tlc_matrix.to_rows()),
-        },
-        "stats": _stats_doc(index.stats()),
-    }
+# -- reading ---------------------------------------------------------------
 
+def _read_sections(data, origin: str) -> tuple[str, dict]:
+    """Verify an image's envelope and view its sections (read-only
+    views over ``bytes``, writable over a ``bytearray``)."""
+    def corrupt(problem):
+        return CorruptIndexError(f"{origin}: {problem}")
 
-def _dual_ii_document(index: DualIIIndex) -> dict:
-    tree = index.search_tree
-    return {
-        "format": "repro-dual-ii",
-        "version": FORMAT_VERSION,
-        "scheme": "dual-ii",
-        "components": _component_items(index._component_of),
-        "starts": index._starts,
-        "ends": index._ends,
-        "tree": {
-            "row_ys": list(tree.row_ys),
-            "rows": [list(row) for row in tree.rows],
-        },
-        "stats": _stats_doc(index.stats()),
-    }
-
-
-class _LoadedDualIndex(DualIIndex):
-    """A Dual-I index restored from disk (no pipeline artefacts)."""
-
-    def __init__(self, component_of, tlc, starts, ends,
-                 label_x, label_y, label_z, stats) -> None:
-        # Deliberately skip DualIIndex.__init__: there is no pipeline.
-        self._pipeline = None
-        self._component_of = component_of
-        self._tlc = tlc
-        self._starts = starts
-        self._ends = ends
-        self._label_x = label_x
-        self._label_y = label_y
-        self._label_z = label_z
-        self._matrix_rows = tlc.matrix.tolist()
-        self._stats = stats
-        self._arrays = None
-
-    @property
-    def pipeline(self):
+    if bytes(data[:8]) != MAGIC:
+        if bytes(data[:64]).lstrip()[:1] == b"{":
+            raise IndexBuildError(
+                f"{origin}: a JSON index document; this release reads "
+                f"only binary index images ({MAGIC.decode()}) — {_FIX}")
+        raise corrupt(f"not a repro index image (magic {bytes(data[:8])!r},"
+                      f" expected {MAGIC!r}) — {_FIX}")
+    if len(data) < _HEADER.size or _HEADER.unpack_from(data)[4] != len(data):
+        raise corrupt(f"truncated image ({len(data)} bytes)")
+    _magic, digest, version, count, length, scheme = \
+        _HEADER.unpack_from(data)
+    if hashlib.sha256(memoryview(data)[40:]).digest() != digest:
+        raise corrupt("sha256 checksum mismatch — the image is corrupt")
+    scheme = scheme.rstrip(b"\0").decode("ascii", "replace")
+    if version != FORMAT_VERSION or scheme not in ("dual-i", "dual-ii"):
         raise IndexBuildError(
-            "a deserialised index carries no pipeline artefacts")
-
-    @property
-    def t(self) -> int:
-        return self._stats.t or 0
-
-
-class _LoadedDualIIIndex(DualIIIndex):
-    """A Dual-II index restored from disk (no pipeline artefacts)."""
-
-    def __init__(self, component_of, tree, starts, ends, stats) -> None:
-        # Deliberately skip DualIIIndex.__init__: there is no pipeline.
-        self._pipeline = None
-        self._component_of = component_of
-        self._tree = tree
-        self._starts = starts
-        self._ends = ends
-        self._stats = stats
-        self._arrays = None
-
-    @property
-    def pipeline(self):
-        raise IndexBuildError(
-            "a deserialised index carries no pipeline artefacts")
-
-    @property
-    def t(self) -> int:
-        return self._stats.t or 0
+            f"{origin}: unsupported image version {version} or scheme "
+            f"{scheme!r} (this release reads version {FORMAT_VERSION}) "
+            f"— {_FIX}")
+    table_end = _HEADER.size + count * _ENTRY.size
+    if table_end > length:
+        raise corrupt("section table overruns the image")
+    sections = {}
+    for k in range(count):
+        name, dtype, ndim, _pad, rows, cols, start, size = \
+            _ENTRY.unpack_from(data, _HEADER.size + k * _ENTRY.size)
+        name = name.rstrip(b"\0").decode("ascii", "replace")
+        dtype = np.dtype(_DTYPES.get(dtype.rstrip(b"\0"), "O"))
+        shape = (rows, cols)[:ndim]
+        if dtype.kind == "O" or ndim not in (1, 2) \
+                or size != math.prod(shape) * dtype.itemsize \
+                or start < table_end or start + size > length:
+            raise corrupt(f"section {name!r} ({size} bytes at offset "
+                          f"{start}) is malformed or overruns the "
+                          f"{length}-byte image")
+        sections[name] = np.frombuffer(
+            data, dtype=dtype, count=size // dtype.itemsize,
+            offset=start).reshape(shape)
+    return scheme, sections
 
 
-def _load_components(document) -> dict:
-    component_of = {}
-    for tag, node, cid in document["components"]:
-        component_of[str(node) if tag == "s" else node] = cid
-    return component_of
+def _laminar(starts: np.ndarray, ends: np.ndarray) -> bool:
+    """Whether ``[starts, ends)`` have distinct starts and nest or are
+    disjoint: sorted by start, interval ``p`` covers positions
+    ``[p, hi)`` and crosses one of them iff it ends past ``p``, so the
+    family is laminar iff ``max(ends[p:hi]) <= ends[p]`` — range maxima
+    of a sparse table built a level at a time, O(n log n)."""
+    order = np.argsort(starts)
+    s = starts[order].astype(np.int64)
+    e = ends[order].astype(np.int64)
+    if not (s[1:] > s[:-1]).all():
+        return False
+    lo = np.arange(s.size)
+    hi = np.searchsorted(s, e)  # > lo, as every start < end
+    level = np.frexp((hi - lo).astype(np.float64))[1] - 1  # floor(log2)
+    table = e
+    for k in range(int(level.max(initial=0)) + 1):
+        if k:
+            table = np.maximum(table[:-(1 << (k - 1))],
+                               table[1 << (k - 1):])
+        at = np.flatnonzero(level == k)
+        if (np.maximum(table[lo[at]], table[hi[at] - (1 << k)])
+                > e[at]).any():
+            return False
+    return True
 
 
-def _load_stats(document, scheme: str) -> IndexStats:
-    stats_doc = document["stats"]
-    return IndexStats(
-        scheme=scheme,
-        num_nodes=stats_doc["num_nodes"],
-        num_edges=stats_doc["num_edges"],
-        dag_nodes=stats_doc["dag_nodes"],
-        dag_edges=stats_doc["dag_edges"],
-        meg_edges=stats_doc.get("meg_edges"),
-        t=stats_doc.get("t"),
-        transitive_links=stats_doc.get("transitive_links"),
-        space_bytes=dict(stats_doc.get("space_bytes", {})),
-    )
+def _check_labels(sections: dict, scheme: str, origin: str) -> None:
+    """The paper's label invariants, checked without the graph:
+    O(n log n + t²), modelled on GRAIL's ``integrityCheck()``.
+    docs/THEORY.md maps each check to the lemma or theorem it
+    enforces."""
+
+    def column(name, length=None, ndim=1):
+        array = sections.get(name)
+        if array is None or array.ndim != ndim \
+                or length not in (None, array.shape):
+            raise CorruptIndexError(
+                f"{origin}: no {name!r} section of shape {length}")
+        return array
+
+    def require(holds, invariant):
+        if not holds:
+            raise CorruptIndexError(
+                f"{origin}: label invariant violated — {invariant}")
+
+    def within(values, low, high):  # low <= values < high
+        return values.size == 0 or (int(values.min()) >= low
+                                    and int(values.max()) < high)
+
+    def increasing(values):
+        return bool((values[1:] > values[:-1]).all())
+
+    def csr_offsets(offsets, total):  # 0, monotone, ``total``
+        return offsets[:1].tolist() == [0] and offsets[-1:].tolist() == [
+            total] and bool((offsets[1:] >= offsets[:-1]).all())
+
+    starts = column("starts")
+    n = len(starts)
+    ends = column("ends", (n,))
+    require((starts < ends).all(), "every interval has start < end")
+    require(_laminar(starts, ends),
+            "intervals nest or are disjoint (laminar, distinct starts)")
+    if "node_lookup" in sections:
+        ids, low = column("node_lookup"), -1  # -1: no node has this id
+    else:
+        offsets = column("node_offsets")
+        require(csr_offsets(offsets, len(column("node_text"))),
+                "node-list offsets are monotone and end at the text size")
+        ids, low = column("node_components", (len(offsets) - 1,)), 0
+    require(within(ids, low, n), f"node-table component ids lie in [0, {n})")
+    if scheme == "dual-i":
+        xs, ys = column("tlc_xs"), column("tlc_ys")
+        row, col = len(xs), len(ys)
+        matrix = column("tlc_matrix", (row + 1, col + 1), ndim=2)
+        x, y, z = (column(name, (n,))
+                   for name in ("label_x", "label_y", "label_z"))
+        require(increasing(xs) and increasing(ys),
+                "the TLC grid coordinates strictly increase")
+        require(within(x, 0, row + 1) and within(y, 0, row + 1)
+                and (x <= y).all(), f"0 <= x <= y <= {row} (sentinel row)")
+        require(within(z, 0, col + 1), f"0 <= z <= {col} (sentinel column)")
+        require(not matrix[row].any() and not matrix[:, col].any(),
+                "the sentinel border row and column are zero")
+        for lo in range(0, row, 256):  # row blocks bound the temporaries
+            hi = min(lo + 256, row)
+            require(not (matrix[lo + 1:hi + 1] > matrix[lo:hi]).any(),
+                    "N is non-increasing down every column")
+    else:
+        row_ys = column("row_ys")
+        offsets = column("row_offsets", (len(row_ys) + 1,))
+        tails = column("row_tails")
+        require(increasing(row_ys), "search-tree row_ys strictly increase")
+        require(csr_offsets(offsets, len(tails)),
+                "row offsets are monotone and end at the tail count")
+        # Tails may only descend where a new row starts.
+        require(np.isin(np.flatnonzero(tails[1:] < tails[:-1]) + 1,
+                        offsets).all(),
+                "each search-tree row's tails are sorted")
 
 
-def _load_dual_i(document) -> DualIIndex:
-    from repro.core.tlc_matrix import TLCMatrix
-
-    tlc_doc = document["tlc"]
-    matrix = np.asarray(tlc_doc["matrix"], dtype=np.int64)
-    if matrix.ndim != 2:
-        matrix = matrix.reshape(
-            len(tlc_doc["xs"]) + 1, len(tlc_doc["ys"]) + 1)
-    tlc = TLCMatrix(tuple(tlc_doc["xs"]), tuple(tlc_doc["ys"]), matrix)
-    return _LoadedDualIndex(
-        _load_components(document), tlc,
-        list(document["starts"]), list(document["ends"]),
-        list(document["label_x"]), list(document["label_y"]),
-        list(document["label_z"]), _load_stats(document, "dual-i"))
-
-
-def _load_dual_ii(document) -> DualIIIndex:
-    from repro.core.tlc_searchtree import TLCSearchTree
-
-    tree_doc = document["tree"]
-    tree = TLCSearchTree(
-        row_ys=[int(y) for y in tree_doc["row_ys"]],
-        rows=[[int(tail) for tail in row] for row in tree_doc["rows"]])
-    return _LoadedDualIIIndex(
-        _load_components(document), tree,
-        list(document["starts"]), list(document["ends"]),
-        _load_stats(document, "dual-ii"))
-
-
-_LOADERS = {
-    "repro-dual-i": _load_dual_i,
-    "repro-dual-ii": _load_dual_ii,
-}
-
-
-def load_index_document(document, origin: str = "<document>"):
-    """Restore an index from an already-parsed serialised document.
-
-    ``origin`` names the transport the document came from (a file
-    path, a shared-memory segment name) for error messages.
-
-    Raises
-    ------
-    CorruptIndexError
-        On a failed content checksum or a structurally broken document.
-    IndexBuildError
-        On wrong format markers or unsupported versions (a well-formed
-        document this code simply does not speak).
-    """
-    loader = None
-    if isinstance(document, dict):
-        loader = _LOADERS.get(document.get("format"))
-    if loader is None:
-        raise IndexBuildError(
-            f"{origin}: not a repro dual-index document "
-            f"(expected one of {sorted(_LOADERS)})")
-    if document.get("version") != FORMAT_VERSION:
-        raise IndexBuildError(
-            f"{origin}: unsupported format version "
-            f"{document.get('version')!r} (expected {FORMAT_VERSION})")
-    # Documents written before the checksum field existed stay loadable;
-    # once one is present it must verify.
-    recorded = document.get("checksum")
-    if recorded is not None and recorded != _content_checksum(document):
-        raise CorruptIndexError(
-            f"{origin}: content checksum mismatch — the document is "
-            f"corrupt (recorded {recorded!r})")
+def _index(scheme: str, sections: dict, origin: str):
+    if "node_lookup" in sections:
+        component_of = DenseComponentMap(sections["node_lookup"])
+    else:
+        text = sections["node_text"].tobytes()
+        bounds = sections["node_offsets"].tolist()
+        component_of = {}
+        for k, cid in enumerate(sections["node_components"].tolist()):
+            item = text[bounds[k]:bounds[k + 1]].decode("utf-8",
+                                                        "surrogatepass")
+            try:
+                component_of[_NODE_DECODERS[item[:1]](item[1:])] = cid
+            except (KeyError, ValueError):
+                raise CorruptIndexError(
+                    f"{origin}: undecodable node #{k}") from None
     try:
-        return loader(document)
-    except (KeyError, TypeError, ValueError) as exc:
+        pairs = dict(line.partition("=")[::2] for line in
+                     sections["stats"].tobytes().decode().splitlines())
+        stats = IndexStats(
+            scheme=scheme, space_bytes={
+                key[12:]: int(value) for key, value in pairs.items()
+                if key.startswith("space_bytes.")},
+            **{key: int(value) if value else None
+               for key, value in pairs.items() if key in _STATS_FIELDS})
+    except (KeyError, UnicodeDecodeError, ValueError, TypeError) as exc:
         raise CorruptIndexError(
-            f"{origin}: malformed index document ({exc})") from exc
+            f"{origin}: malformed stats section ({exc!r})") from None
+    columns = (sections["starts"], sections["ends"])
+    if scheme == "dual-ii":
+        bounds = sections["row_offsets"].tolist()
+        tails = sections["row_tails"].tolist()
+        tree = TLCSearchTree(sections["row_ys"].tolist(), [
+            tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+        return DualIIIndex(component_of, tree, *columns, stats)
+    tlc = TLCMatrix(tuple(sections["tlc_xs"].tolist()),
+                    tuple(sections["tlc_ys"].tolist()),
+                    sections["tlc_matrix"])
+    return DualIIndex(component_of, tlc, *columns, sections["label_x"],
+                      sections["label_y"], sections["label_z"], stats)
 
 
-def loads_index(data: bytes | str, origin: str = "<memory>"):
-    """Restore an index from serialised JSON bytes (or text).
-
-    The byte-level counterpart of :func:`load_dual_index`, shared by
-    the shared-memory attach path: same dispatch, same checksum
-    verification, same error taxonomy.
-    """
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        document = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise CorruptIndexError(
-            f"{origin}: not valid JSON ({exc})") from exc
-    except UnicodeDecodeError as exc:
-        raise CorruptIndexError(
-            f"{origin}: not UTF-8 text ({exc})") from exc
-    return load_index_document(document, origin)
+def loads_index(data: bytes, origin: str = "<memory>"):
+    """Restore an index from image bytes; its columns are read-only
+    views into ``data``.  Checks and errors as :func:`load_dual_index`;
+    ``origin`` (a path, ``shm:<name>``) names the source in them."""
+    scheme, sections = _read_sections(data, origin)
+    _check_labels(sections, scheme, origin)
+    return _index(scheme, sections, origin)
 
 
 def load_dual_index(path: PathLike):
-    """Load an index previously written by :func:`save_dual_index`.
-
-    Dispatches on the document's scheme tag, so both Dual-I and Dual-II
-    files load transparently (including pre-tag Dual-I documents).
+    """Load a Dual-I or Dual-II index written by :func:`save_dual_index`.
 
     Raises
     ------
     CorruptIndexError
-        When the file is not valid JSON, fails its content checksum,
-        or is structurally broken — i.e. the bytes on disk are damaged.
+        When the image is truncated, fails its checksum, has a section
+        overrunning the file, or holds labels that break an invariant.
     IndexBuildError
-        On wrong format markers or unsupported versions (a well-formed
-        file this code simply does not speak).
+        When the file is not an image this release reads (a JSON index
+        from an older release, an unknown version or scheme); the
+        message names the fix.
     """
     return loads_index(Path(path).read_bytes(), origin=str(path))

@@ -3,29 +3,29 @@
 The dual-labeling arrays are immutable once built, so a machine-local
 worker fleet never needs one copy per process: the parent publishes the
 index into one ``multiprocessing.shared_memory`` segment and every
-worker attaches read-only.  The segment payload *is* the checksummed
-:mod:`repro.core.serialize` document — the same bytes
+worker attaches read-only.  The segment payload *is* the
+:mod:`repro.core.serialize` index image — the same bytes
 :func:`~repro.core.serialize.save_dual_index` writes to disk — framed
 by a tiny fixed header::
 
     offset  size  field
     0       8     magic ``b"RPROSHM1"``
     8       8     payload length, unsigned little-endian
-    16      n     the serialised index document (UTF-8 JSON)
+    16      n     the index image
 
 so the attach path reuses the exact validation stack of the file
-loader: bad magic, a length that overruns the segment, undecodable
-JSON, or a failed sha256 content checksum all raise the typed
+loader: bad magic, a length that overruns the segment, a failed sha256
+or labels that break an invariant all raise the typed
 :class:`~repro.exceptions.CorruptIndexError` — a worker can never
 answer queries from garbage memory.
 
 Lifecycle: the *publisher* owns the segment and must
 :meth:`~PublishedIndex.unlink` it (the fleet does this when a new
 generation replaces an old one, and for every live generation at
-shutdown).  *Attachers* copy-parse the payload and detach before
-returning, so a worker holds no mapping afterwards and a SIGKILL'd
-worker cannot leak anything — the segment belongs to the parent
-either way.  Segment names carry the :data:`SEGMENT_PREFIX` so leak
+shutdown).  *Attachers* copy the payload once, detach, and view the
+copy's sections in place, so a worker holds no mapping afterwards and
+a SIGKILL'd worker cannot leak anything — the segment belongs to the
+parent either way.  Segment names carry the :data:`SEGMENT_PREFIX` so leak
 checks can scan ``/dev/shm`` for strays (:func:`list_segments`).
 
 On Python < 3.13 ``SharedMemory`` has no ``track`` parameter and
@@ -88,7 +88,7 @@ class PublishedIndex:
         self.name = shm.name
         #: Total segment size (header + payload).
         self.size = shm.size
-        #: Size of the serialised document alone.
+        #: Size of the index image alone.
         self.payload_bytes = payload_bytes
         self._unlinked = False
 
@@ -140,7 +140,7 @@ def publish_index(index, *, name: str | None = None) -> PublishedIndex:
     ------
     IndexBuildError
         If the index's scheme is not serialisable
-        (see :func:`repro.core.serialize.index_document`).
+        (see :func:`repro.core.serialize.dumps_index`).
     """
     payload = dumps_index(index)
     if name is None:
@@ -155,9 +155,10 @@ def publish_index(index, *, name: str | None = None) -> PublishedIndex:
 def attach_index(name: str):
     """Load the index published under segment ``name``.
 
-    The payload is copy-parsed and the mapping detached before
-    returning, so the caller holds no shared-memory resource — only
-    the publisher ever unlinks.
+    The payload is copied once and the mapping detached before
+    returning; the index's columns are views into that copy, so the
+    caller holds no shared-memory resource — only the publisher ever
+    unlinks.
 
     Raises
     ------
@@ -167,7 +168,7 @@ def attach_index(name: str):
         current generation).
     CorruptIndexError
         On bad magic, a payload length overrunning the segment, or any
-        damage the serialise-layer checksum catches.
+        damage the image's checksum or label check catches.
     """
     shm = shared_memory.SharedMemory(name=name)
     _untrack(shm)

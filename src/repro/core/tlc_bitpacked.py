@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.tlc_matrix import TLCMatrix
+from repro.core.tlc_matrix import TLCMatrix, pack_tlc_matrix
 
 __all__ = ["BitPackedTLCMatrix", "bitpack_tlc_matrix"]
 
@@ -71,11 +71,19 @@ class BitPackedTLCMatrix:
         """Payload size of the packed word array."""
         return int(self._words.nbytes)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The cells unpacked at :func:`pack_tlc_matrix`'s cell width."""
+        shifts = np.arange(self._cells_per_word, dtype=np.uint64) \
+            * np.uint64(self.bits_per_cell)
+        cells = (self._words[:, None] >> shifts) & np.uint64(self._mask)
+        cells = cells.reshape(-1)[:(len(self.xs) + 1) * self._num_cols]
+        return pack_tlc_matrix(TLCMatrix(
+            self.xs, self.ys, cells.reshape(-1, self._num_cols))).matrix
+
     def to_rows(self) -> list[list[int]]:
         """Unpack into nested lists (for the fast scalar query path)."""
-        rows = len(self.xs) + 1
-        return [[self.value(ix, iy) for iy in range(self._num_cols)]
-                for ix in range(rows)]
+        return self.matrix.tolist()
 
     def __repr__(self) -> str:
         return (f"BitPackedTLCMatrix(|X|={len(self.xs)}, "

@@ -134,7 +134,8 @@ def pack_tlc_matrix(tlc: TLCMatrix) -> TLCMatrix:
     max_value = int(tlc.matrix.max()) if tlc.matrix.size else 0
     for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
         if max_value <= np.iinfo(dtype).max:
-            return TLCMatrix(tlc.xs, tlc.ys, tlc.matrix.astype(dtype))
+            return TLCMatrix(tlc.xs, tlc.ys,
+                             tlc.matrix.astype(dtype, copy=False))
     raise AssertionError("unreachable: int64 always fits")
 
 

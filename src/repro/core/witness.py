@@ -193,7 +193,7 @@ def explain_query(index: DualIIndex, u: Node, v: Node) -> Explanation:
     Runs the same clauses as :meth:`DualIIndex.reachable` but reports
     *which* clause fired, with a witness path for the non-tree case.
     """
-    component_of = index._component_of
+    component_of, starts, ends, xs, ys, zs, rows = index._scalar_labels()
     try:
         cu = component_of[u]
         cv = component_of[v]
@@ -201,12 +201,11 @@ def explain_query(index: DualIIndex, u: Node, v: Node) -> Explanation:
         raise QueryError(exc.args[0]) from None
     if cu == cv:
         return Explanation(kind="same-component", source=u, target=v)
-    a2 = index._starts[cv]
-    if index._starts[cu] <= a2 < index._ends[cu]:
+    a2 = starts[cv]
+    if starts[cu] <= a2 < ends[cu]:
         return Explanation(kind="tree", source=u, target=v)
-    rows = index._matrix_rows
-    z2 = index._label_z[cv]
-    difference = rows[index._label_x[cu]][z2] - rows[index._label_y[cu]][z2]
+    z2 = zs[cv]
+    difference = rows[xs[cu]][z2] - rows[ys[cu]][z2]
     if difference > 0:
         # A deserialised index carries no pipeline artefacts, so the
         # witness is unavailable; the explanation still reports the

@@ -13,14 +13,15 @@ meant rebuilding tenants from ``--tenant`` flags.  This module gives
   ``drop``.  Appends are flushed and ``fsync``\\ ed before the caller
   acknowledges its client, so an acked mutation survives power loss;
 * **checkpoint compaction**: every ``checkpoint_interval`` records the
-  whole catalog is folded into ``MANIFEST.json`` — written with the
-  same atomic tmp+fsync+rename+sha256 pattern as index files
-  (:func:`repro.core.serialize.write_atomic_json`) — and the journal
-  is truncated, bounding journal growth and replay time;
+  whole catalog is folded into ``MANIFEST.json`` — a sha256-checksummed
+  JSON document written with the same atomic tmp+fsync+rename writer
+  as index images (:func:`repro.core.serialize.write_atomic`) — and
+  the journal is truncated, bounding journal growth and replay time;
 * **per-tenant index artifacts** under ``indexes/`` named
-  ``<name>-g<generation>.json`` (plain :func:`save_dual_index` files),
+  ``<name>-g<generation>.idx`` (plain :func:`save_dual_index` images),
   with retention GC keeping the last ``retain_generations`` per tenant
-  and removing orphans;
+  and removing orphans (an artifact the loader refuses is quarantined
+  at boot and its entry degraded);
 * **recovery** (:meth:`DurableState.recover`): load the manifest,
   replay journal records with ``seq`` beyond it, and restore the
   catalog to its last durable state.  A *torn trailing record* — the
@@ -46,6 +47,7 @@ mid-manifest-swap — and asserts exactly this contract.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -57,9 +59,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.serialize import (content_checksum, load_dual_index,
-                                  save_dual_index, write_atomic_json)
-from repro.exceptions import (CorruptIndexError, CorruptJournalError,
+from repro.core.serialize import (load_dual_index, save_dual_index,
+                                  write_atomic)
+from repro.exceptions import (CorruptJournalError, IndexBuildError,
                               ReproError)
 
 __all__ = [
@@ -88,7 +90,21 @@ _HEADER = struct.Struct("<2sII")
 #: larger claimed length can only be corruption).
 MAX_RECORD_BYTES = 1 << 24
 
-_ARTIFACT_RE = re.compile(r"^(?P<name>.+)-g(?P<gen>\d+)\.json$")
+_ARTIFACT_RE = re.compile(r"^(?P<name>.+)-g(?P<gen>\d+)\.idx$")
+
+
+def parse_artifact_name(filename: str) -> tuple[str, int] | None:
+    """``(entry name, generation)`` of an artifact file, else ``None``."""
+    match = _ARTIFACT_RE.match(filename)
+    return match and (match.group("name"), int(match.group("gen")))
+
+
+def content_checksum(document: dict) -> str:
+    """sha256 over every manifest field except ``checksum``."""
+    body = {key: value for key, value in document.items()
+            if key != "checksum"}
+    return "sha256:" + hashlib.sha256(
+        json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -480,7 +496,7 @@ class DurableState:
     def save_index(self, index, name: str, generation: int) -> str:
         """Atomically save ``index`` as ``name``'s ``generation``
         artifact; returns the state-dir-relative path to journal."""
-        relative = f"{INDEX_DIR}/{name}-g{generation}.json"
+        relative = f"{INDEX_DIR}/{name}-g{generation}.idx"
         save_dual_index(index, self.state_dir / relative)
         return relative
 
@@ -512,11 +528,10 @@ class DurableState:
                     child.unlink(missing_ok=True)
                     removed.append(child.name)
                 continue
-            match = _ARTIFACT_RE.match(child.name)
-            if match is None:
+            name, gen = parse_artifact_name(child.name) or (None, 0)
+            if name is None:
                 continue  # not ours; leave it alone
-            entry = self._entries.get(match.group("name"))
-            gen = int(match.group("gen"))
+            entry = self._entries.get(name)
             keep = False
             if entry is not None:
                 floor = entry.generation - self.retain_generations + 1
@@ -549,7 +564,7 @@ class DurableState:
                         for entry in self._entries.values()],
         }
         doc["checksum"] = content_checksum(doc)
-        write_atomic_json(doc, self.manifest_path)
+        write_atomic(json.dumps(doc).encode("utf-8"), self.manifest_path)
         if self._journal is not None:
             os.ftruncate(self._journal.fileno(), 0)
             os.fsync(self._journal.fileno())
@@ -575,7 +590,7 @@ class DurableState:
                     if ".corrupt" in child.name:
                         quarantined += 1
                     elif root is index_dir \
-                            and _ARTIFACT_RE.match(child.name):
+                            and parse_artifact_name(child.name):
                         artifacts += 1
             return {
                 "state_dir": str(self.state_dir),
@@ -631,8 +646,9 @@ class BootCatalog:
 
 def _load_entry_index(state: DurableState, snap: EntryState,
                       boot: BootCatalog):
-    """Load one entry's artifact, quarantining corruption
-    (satellite contract: a damaged file must never fail startup)."""
+    """Load one entry's artifact, quarantining any file the loader
+    refuses — damaged, or a ``.json`` index from an older release:
+    neither may fail startup."""
     if snap.artifact is None:
         return None
     path = state.artifact_path(snap.artifact)
@@ -643,10 +659,10 @@ def _load_entry_index(state: DurableState, snap: EntryState,
             f"index {snap.name!r}: artifact {snap.artifact} is "
             f"missing; entry restored empty")
         return None
-    except CorruptIndexError as exc:
+    except IndexBuildError as exc:
         where = state.quarantine_artifact(snap.artifact)
         boot.degraded.append(
-            f"index {snap.name!r}: corrupt artifact quarantined to "
+            f"index {snap.name!r}: unloadable artifact quarantined to "
             f"{INDEX_DIR}/{where} ({exc})")
         return None
 

@@ -385,7 +385,7 @@ def run_chaos_soak(*, seed: int = 0, duration: float = 6.0,
     probe_pairs = pool[:8]
     probe_expected = expected[:8]
 
-    good_path = base / "chaos-good-index.json"
+    good_path = base / "chaos-good-index.idx"
     save_dual_index(index, good_path)
 
     report = ChaosReport(seed=seed, scheme=scheme,
@@ -486,13 +486,13 @@ def run_chaos_soak(*, seed: int = 0, duration: float = 6.0,
         elif kind == "flush_error":
             flaky.fail_next(3)
         elif kind == "reload_missing":
-            reload_bad_then_recover(base / "chaos-missing.json")
+            reload_bad_then_recover(base / "chaos-missing.idx")
         elif kind == "reload_corrupt":
-            corrupt_path = base / "chaos-corrupt-index.json"
+            corrupt_path = base / "chaos-corrupt-index.idx"
             _corrupt_copy(good_path, corrupt_path)
             reload_bad_then_recover(corrupt_path)
         elif kind == "kill_save":
-            kill_path = base / "chaos-killed-index.json"
+            kill_path = base / "chaos-killed-index.idx"
             save_dual_index(index, kill_path)  # survives kill #1
             run_kill_during_save(kill_path, nodes=nodes, edges=edges,
                                  seed=seed, kills=1,
@@ -1090,7 +1090,8 @@ def run_crash_restart_soak(*, seed: int = 0, cycles: int = 20,
     import tempfile
 
     from repro.graph.io import write_edge_list
-    from repro.server.durability import DurableState, INDEX_DIR
+    from repro.server.durability import (DurableState, INDEX_DIR,
+                                         parse_artifact_name)
 
     base = Path(workdir) if workdir is not None else Path(
         tempfile.mkdtemp(prefix="repro-crash-"))
@@ -1352,12 +1353,10 @@ def run_crash_restart_soak(*, seed: int = 0, cycles: int = 20,
         for child in sorted((state_dir / INDEX_DIR).iterdir()):
             if ".corrupt" in child.name or child.is_dir():
                 continue
-            stem = child.name[:-len(".json")]
-            name, _, gen_text = stem.rpartition("-g")
+            name, gen = parse_artifact_name(child.name) or ("", -1)
             entry = entries.get(name)
-            if entry is None or not gen_text.isdigit() \
-                    or not (entry.generation - retain_generations
-                            < int(gen_text) <= entry.generation):
+            if entry is None or not (entry.generation - retain_generations
+                                     < gen <= entry.generation):
                 orphans.append(child.name)
         durable_rows = {e.name: e.generation for e in entries.values()}
         model_rows = {n: g for n, (g, _) in model.items()}

@@ -25,6 +25,7 @@ import faulthandler
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.graph.digraph import DiGraph
@@ -140,3 +141,68 @@ def assert_index_matches_oracle(index, graph: DiGraph,
         assert actual == expected, (
             f"{type(index).__name__}: {u!r} -> {v!r}: "
             f"expected {expected}, got {actual}")
+
+
+# -- broken index images ------------------------------------------------
+#
+# Each case breaks one label invariant of a small index's image and
+# re-seals the sha256, so the bytes verify and only the load-time label
+# check (repro.core.serialize._check_labels) can refuse them.  Shared by
+# the three load paths' tests: file, /dev/shm and durable recovery.
+
+def _cross_intervals(s):
+    # The widest interval's first child ends one past its parent.
+    widest = int(np.argmax(s["ends"] - s["starts"]))
+    child = int(np.flatnonzero(s["starts"] == s["starts"][widest] + 1)[0])
+    s["ends"][child] = s["ends"][widest] + 1
+
+
+def _x_above_y(s):
+    k = int(np.flatnonzero(s["label_y"] > 0)[0])
+    s["label_x"][k] = s["label_y"][k]
+    s["label_y"][k] -= 1
+
+
+def _unsort_row(s):
+    offsets, tails = s["row_offsets"], s["row_tails"]
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        if hi - lo >= 2 and tails[lo] < tails[lo + 1]:
+            tails[lo], tails[lo + 1] = tails[lo + 1], tails[lo]
+            return
+    raise AssertionError("no row with two distinct tails")
+
+
+#: case -> (scheme, mutation of the section views, invariant message).
+BROKEN_IMAGES = {
+    "crossing-interval": ("dual-i", _cross_intervals, "laminar"),
+    "x-past-sentinel-row": (
+        "dual-i", lambda s: s["label_x"].__setitem__(
+            0, len(s["tlc_xs"]) + 1), "x <= y"),
+    "x-above-y": ("dual-i", _x_above_y, "x <= y"),
+    "nonzero-sentinel-cell": (
+        "dual-i", lambda s: s["tlc_matrix"].__setitem__(
+            (len(s["tlc_xs"]), 0), 1), "sentinel border"),
+    "column-increases": (
+        "dual-i", lambda s: s["tlc_matrix"].__setitem__(
+            (1, 0), s["tlc_matrix"][0, 0] + 1), "non-increasing"),
+    "unsorted-dual-ii-row": ("dual-ii", _unsort_row, "sorted"),
+    "node-id-past-n": (
+        "dual-i", lambda s: s["node_lookup"].__setitem__(
+            0, len(s["starts"])), "component ids"),
+}
+
+
+def broken_image(case: str):
+    """``(index, image bytes)``: ``index``'s image with invariant
+    ``case`` of :data:`BROKEN_IMAGES` broken and the digest re-sealed."""
+    from repro.core import serialize
+    from repro.core.base import build_index
+    from repro.graph.generators import random_dag
+
+    scheme, mutate, _invariant = BROKEN_IMAGES[case]
+    index = build_index(random_dag(40, 70, seed=0), scheme=scheme)
+    image = bytearray(serialize.dumps_index(index))
+    _scheme, sections = serialize._read_sections(image, "test")
+    mutate(sections)
+    serialize._seal(image)
+    return index, bytes(image)

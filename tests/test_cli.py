@@ -103,7 +103,7 @@ class TestQueryPairsFile:
 
     def test_pairs_file_against_saved_index(self, tmp_path, capsys):
         graph_file = tmp_path / "g.txt"
-        index_file = tmp_path / "index.json"
+        index_file = tmp_path / "index.idx"
         pairs_file = tmp_path / "pairs.txt"
         cli_main(["generate", "dag", "--nodes", "40", "--edges", "60",
                   "--seed", "4", "--out", str(graph_file)])
@@ -220,7 +220,7 @@ class TestSmokeCLI:
 class TestIndexPersistence:
     def test_build_save_then_query_index(self, tmp_path, capsys):
         graph_file = tmp_path / "g.txt"
-        index_file = tmp_path / "index.json"
+        index_file = tmp_path / "index.idx"
         cli_main(["generate", "dag", "--nodes", "60", "--edges", "80",
                   "--seed", "2", "--out", str(graph_file)])
         assert cli_main(["build", str(graph_file), "--scheme", "dual-i",
@@ -234,7 +234,7 @@ class TestIndexPersistence:
 
     def test_query_index_without_pairs_errors(self, tmp_path, capsys):
         graph_file = tmp_path / "g.txt"
-        index_file = tmp_path / "index.json"
+        index_file = tmp_path / "index.idx"
         cli_main(["generate", "tree", "--nodes", "10",
                   "--out", str(graph_file)])
         cli_main(["build", str(graph_file), "--save", str(index_file)])

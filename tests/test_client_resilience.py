@@ -107,7 +107,7 @@ class TestRetryDiscrimination:
         try:
             assert "reload" not in IDEMPOTENT_VERBS
             with pytest.raises(ServerReplyError) as excinfo:
-                client.reload(index="/nonexistent/index.json")
+                client.reload(index="/nonexistent/index.idx")
             assert excinfo.value.code == "reload_failed"
             # One reply error, zero retries spent on it.
             assert client.error_report()["retries"] == 0
@@ -170,7 +170,7 @@ class TestProbeVerbs:
     def test_degraded_health_is_tallied(self, server):
         with ReachClient("127.0.0.1", server.port) as client:
             with pytest.raises(ServerReplyError):
-                client.reload(index="/nonexistent/index.json")
+                client.reload(index="/nonexistent/index.idx")
             health = client.health()
             assert health["status"] == "degraded"
             assert "reason" in health and health["reason"]

@@ -7,6 +7,13 @@ against
 the reflexive transitive closure computed independently by
 :func:`repro.graph.closure.transitive_closure_bitsets`.
 
+Dual-I and Dual-II also run *reloaded* (ids ending ``-reloaded-image``
+and ``-reloaded-shm``): built, then restored from their binary image
+with ``loads_index(dumps_index(index))`` or through a /dev/shm segment
+with ``publish_index`` → ``attach_index``.  A reloaded index answers
+through the paths above plus :class:`~repro.core.fastkernel.FastKernel`
+— pure, and compiled when the C extension is built.
+
 A second axis cross-checks the two construction backends: every seeded
 graph is built with ``backend="python"`` and ``backend="fast"`` and the
 interval labels, link tables, and query answers must match bit for bit
@@ -24,8 +31,13 @@ import time
 
 import pytest
 
+import numpy as np
+
 from repro.core.base import available_schemes, build_index
+from repro.core.fastkernel import FastKernel, compiled_available
 from repro.core.pipeline import run_pipeline
+from repro.core.serialize import dumps_index, loads_index
+from repro.core.shm import attach_index, publish_index
 from repro.graph.closure import transitive_closure_bitsets
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
@@ -105,19 +117,47 @@ def minimise_failure(graph: DiGraph, scheme: str, options: dict):
     return _greedy_shrink(graph, disagreement)
 
 
-@pytest.mark.parametrize("scheme", sorted(available_schemes()))
+def _reloaded(index, via: str):
+    """``index`` restored from its image, in memory or via /dev/shm."""
+    if via == "image":
+        return loads_index(dumps_index(index))
+    with publish_index(index) as published:
+        return attach_index(published.name)
+
+
+#: Every scheme as built, plus the reloaded Dual-I/Dual-II inputs.
+SCHEME_INPUTS = [pytest.param(scheme, None, id=scheme)
+                 for scheme in sorted(available_schemes())] + [
+    pytest.param(scheme, via, id=f"{scheme}-reloaded-{via}")
+    for scheme in ("dual-i", "dual-ii") for via in ("image", "shm")]
+
+
+@pytest.mark.parametrize("scheme,reload", SCHEME_INPUTS)
 @pytest.mark.parametrize("family,seed", CASES,
                          ids=[f"{f}-s{s}" for f, s in CASES])
-def test_scheme_matches_bfs_ground_truth(family, seed, scheme) -> None:
+def test_scheme_matches_bfs_ground_truth(family, seed, scheme,
+                                         reload) -> None:
     graph = FAMILIES[family](seed)
     truth = ground_truth(graph)
     options = {"seed": 7} if scheme == "grail" else {}
     index = build_index(graph, scheme=scheme, **options)
+    if reload is not None:
+        index = _reloaded(index, reload)
     nodes = list(graph.nodes())
     pairs = [(u, v) for u in nodes for v in nodes]
     expected = [truth(u, v) for u, v in pairs]
 
     failures = []
+    if reload is not None:
+        src = np.array([u for u, _ in pairs])
+        dst = np.array([v for _, v in pairs])
+        compiled = [False] + ([True] if scheme == "dual-i"
+                              and compiled_available() else [])
+        for use_compiled in compiled:
+            kernel = FastKernel(index.label_arrays(),
+                                use_compiled=use_compiled)
+            if kernel.query_ids(src, dst).tolist() != expected:
+                failures.append(f"FastKernel(mode={kernel.mode})")
     scalar = [index.reachable(u, v) for u, v in pairs]
     if scalar != expected:
         failures.append("reachable")

@@ -13,13 +13,15 @@ Unit-level proof of the ``--state-dir`` contracts
   trips;
 * generation-retention GC keeps exactly the retained artifact window
   and never touches quarantined files;
-* a corrupt saved-index artifact is quarantined at boot
-  (:func:`restore_catalog`) and degrades the entry instead of
-  crashing startup.
+* a saved-index artifact the loader refuses — damaged bytes, labels
+  that break an invariant, or a JSON index from an older release — is
+  quarantined at boot (:func:`restore_catalog`) and degrades the entry
+  instead of crashing startup.
 """
 
 from __future__ import annotations
 
+import json
 import shutil
 
 import pytest
@@ -31,8 +33,10 @@ from repro.server.durability import (
     INDEX_DIR,
     JOURNAL_NAME,
     DurableState,
+    parse_artifact_name,
     restore_catalog,
 )
+from tests.conftest import BROKEN_IMAGES, broken_image
 
 
 @pytest.fixture
@@ -266,7 +270,7 @@ class TestArtifactGC:
         state.checkpoint()  # GC runs with the checkpoint
         names = sorted(p.name for p
                        in (tmp_path / INDEX_DIR).iterdir())
-        assert names == ["default-g3.json", "default-g4.json"]
+        assert names == ["default-g3.idx", "default-g4.idx"]
         state.close()
 
     def test_recovery_drops_orphans_and_futures(self, tmp_path, index):
@@ -289,7 +293,7 @@ class TestArtifactGC:
                            retain_generations=2)
         names = sorted(p.name for p
                        in (tmp_path / INDEX_DIR).iterdir())
-        assert names == ["default-g1.json", "old.json.corrupt"]
+        assert names == ["default-g1.idx", "old.json.corrupt"]
         assert recovered.next_generation("default") == 2
         recovered.close()
 
@@ -380,3 +384,55 @@ class TestRestoreCatalog:
         assert tenant.index is None
         assert boot.degraded and "missing" in boot.degraded[0]
         reopened.close()
+
+    def test_json_artifact_from_an_older_release_degrades(
+            self, tmp_path, index):
+        """A manifest naming a JSON index (what older releases saved)
+        boots: the file is quarantined and its entry degraded."""
+        state = self._installed(tmp_path, index, "tA", 1)
+        state.close()
+        legacy = tmp_path / INDEX_DIR / "tA-g2.json"
+        legacy.write_text(json.dumps({"format": "repro-dual-i",
+                                      "version": 2, "starts": [0]}))
+        state = _fresh(tmp_path)
+        state.record_install("tA", index_id=1, scheme="dual-i",
+                             generation=2, label_bytes=1,
+                             artifact=f"{INDEX_DIR}/{legacy.name}")
+        state.checkpoint()
+        state.close()
+
+        reopened = _fresh(tmp_path)
+        boot = restore_catalog(
+            reopened, default_factory=lambda: (index, "dual-i"))
+        (tenant,) = boot.tenants
+        assert tenant.index is None
+        assert boot.degraded and "JSON" in boot.degraded[0]
+        assert not legacy.exists()
+        assert (legacy.parent / f"{legacy.name}.corrupt").exists()
+        reopened.close()
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_IMAGES))
+    def test_broken_labels_quarantined_at_boot(self, tmp_path, case):
+        index, image = broken_image(case)
+        state = self._installed(tmp_path, index, "tA", 1)
+        path = tmp_path / state.entry("tA").artifact
+        state.close()
+        path.write_bytes(image)
+
+        reopened = _fresh(tmp_path)
+        boot = restore_catalog(
+            reopened, default_factory=lambda: (index, "dual-i"))
+        (tenant,) = boot.tenants
+        assert tenant.index is None
+        assert boot.degraded and BROKEN_IMAGES[case][2] in boot.degraded[0]
+        assert not path.exists()
+        assert (path.parent / f"{path.name}.corrupt").exists()
+        reopened.close()
+
+
+def test_artifact_names_round_trip():
+    assert parse_artifact_name("default-g12.idx") == ("default", 12)
+    assert parse_artifact_name("a-g1-g3.idx") == ("a-g1", 3)
+    for stray in ("default-g3.json", "x.idx.123.tmp", "default-g3.idx"
+                  ".corrupt", "default.idx"):
+        assert parse_artifact_name(stray) is None

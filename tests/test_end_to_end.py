@@ -4,8 +4,6 @@ compare — the paths a downstream adopter actually walks."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.bench.compare import compare_result_files
@@ -18,7 +16,7 @@ class TestIndexLifecycleWorkflow:
                                                        capsys):
         """The full CLI lifecycle on one graph."""
         graph_file = tmp_path / "pipeline.txt"
-        index_file = tmp_path / "pipeline-index.json"
+        index_file = tmp_path / "pipeline-index.idx"
 
         # 1. generate a sparse DAG
         assert cli_main(["generate", "dag", "--nodes", "500", "--edges",
@@ -29,9 +27,10 @@ class TestIndexLifecycleWorkflow:
         # 3. build + persist the index
         assert cli_main(["build", str(graph_file), "--scheme", "dual-i",
                          "--save", str(index_file)]) == 0
-        # 4. the saved document is valid JSON with our format marker
-        document = json.loads(index_file.read_text())
-        assert document["format"] == "repro-dual-i"
+        # 4. the saved file is a binary index image of the scheme
+        header = index_file.read_bytes()[:64]
+        assert header.startswith(b"RPROIDX1")
+        assert header[56:64].rstrip(b"\0") == b"dual-i"
         # 5. reload and query without the graph
         capsys.readouterr()
         assert cli_main(["query", "--index", str(index_file),

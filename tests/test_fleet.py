@@ -224,7 +224,7 @@ class TestSupervision:
         _swap_in(fleet, workdir, graph, "dual-ii", "degrade-base")
         with ReachClient(port=fleet.port, timeout=60.0) as client:
             with pytest.raises(ServerReplyError) as excinfo:
-                client.reload(index=str(workdir / "no-such-index.json"))
+                client.reload(index=str(workdir / "no-such-index.idx"))
             assert excinfo.value.code == "reload_failed"
             # Same connection == same worker: it must report degraded
             # while still answering from its last good generation.

@@ -97,7 +97,7 @@ class TestHotSwap:
         must follow the swap."""
         graph_a = random_dag(30, 45, seed=5)
         graph_b = random_dag(34, 50, seed=6)
-        index_file = tmp_path / "b.dual-ii.json"
+        index_file = tmp_path / "b.dual-ii.idx"
         save_dual_index(build_index(graph_b, scheme="dual-ii"),
                         index_file)
         index_a = build_index(graph_a, scheme="dual-i")
@@ -293,12 +293,12 @@ class TestDegradedMode:
         server to ``degraded`` (visible in health/ready/stats), and a
         later successful swap clears the flag."""
         index = build_index(diamond, scheme="dual-i")
-        good_file = tmp_path / "good.json"
+        good_file = tmp_path / "good.idx"
         save_dual_index(index, good_file)
         with serve(index) as handle, \
                 ReachClient(port=handle.port) as client:
             with pytest.raises(ServerReplyError) as info:
-                client.reload(index=tmp_path / "missing.json")
+                client.reload(index=tmp_path / "missing.idx")
             assert info.value.code == "reload_failed"
             health = client.call("health")
             assert health["status"] == "degraded"
@@ -317,14 +317,12 @@ class TestDegradedMode:
     def test_corrupt_index_file_degrades_not_crashes(self, tmp_path,
                                                      diamond):
         index = build_index(diamond, scheme="dual-i")
-        corrupt_file = tmp_path / "corrupt.json"
+        corrupt_file = tmp_path / "corrupt.idx"
         save_dual_index(index, corrupt_file)
         blob = bytearray(corrupt_file.read_bytes())
-        # Corrupt a digit inside the payload: still valid JSON, so the
-        # load fails specifically on the content checksum.
-        position = bytes(blob).index(b'"starts": [') + len('"starts": [')
-        blob[position] = ord("7") if blob[position] != ord("7") \
-            else ord("8")
+        # Flip a byte of the last section: the header still parses, so
+        # the load fails specifically on the sha256 checksum.
+        blob[-1] ^= 0x01
         corrupt_file.write_bytes(bytes(blob))
         with serve(index) as handle, \
                 ReachClient(port=handle.port) as client:

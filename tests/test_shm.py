@@ -2,10 +2,11 @@
 
 The fleet's correctness rests on :mod:`repro.core.shm` honouring three
 contracts: an attached index answers bit-identically to the published
-one (the payload *is* the checksummed serialise document), the
+one (the payload *is* the checksummed serialise image), the
 publisher alone owns the segment's lifetime (attachers copy-parse and
 detach, so even a SIGKILLed attacher leaks nothing), and any damage —
-bad magic, truncated payload, flipped bits — surfaces as the typed
+bad magic, truncated payload, flipped bits, labels that break an
+invariant — surfaces as the typed
 :class:`~repro.exceptions.CorruptIndexError` before a single query is
 answered from garbage.
 """
@@ -34,6 +35,7 @@ from repro.core.shm import (
 )
 from repro.exceptions import CorruptIndexError
 from repro.graph.generators import gnm_random_digraph, random_dag
+from tests.conftest import BROKEN_IMAGES, broken_image
 
 
 def _pairs(graph, count=256, seed=5):
@@ -68,9 +70,9 @@ class TestRoundtrip:
             assert stats.num_nodes == graph.num_nodes
 
     def test_payload_is_the_serialize_document(self):
-        import json
-
-        from repro.core.serialize import dumps_index
+        """The payload is the index image, byte for byte: the same
+        bytes ``save_dual_index`` writes, digest included."""
+        from repro.core import serialize
 
         index = build_index(random_dag(30, 40, seed=1), scheme="dual-i")
         with publish_index(index) as published:
@@ -80,8 +82,8 @@ class TestRoundtrip:
                 payload = bytes(raw.buf[16:16 + published.payload_bytes])
             finally:
                 raw.close()
-        assert payload == dumps_index(index)
-        assert json.loads(payload)["checksum"]
+        assert payload == serialize.dumps_index(index)
+        assert payload.startswith(serialize.MAGIC)
 
     def test_attach_holds_no_mapping(self):
         # An attacher must be able to come and go without affecting
@@ -290,3 +292,21 @@ class TestCorruption:
         with pytest.raises(CorruptIndexError,
                            match=f"shm:{published.name}"):
             attach_index(published.name)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_IMAGES))
+def test_broken_labels_refused_on_attach(case):
+    """A segment whose image verifies but breaks a label invariant is
+    refused before a worker can serve from it."""
+    index, image = broken_image(case)
+    with publish_index(index) as published:
+        assert published.payload_bytes == len(image)
+        raw = _open_raw(published.name)
+        try:
+            raw.buf[16:16 + len(image)] = image
+        finally:
+            raw.close()
+        with pytest.raises(CorruptIndexError,
+                           match=BROKEN_IMAGES[case][2]) as info:
+            attach_index(published.name)
+        assert f"shm:{published.name}" in str(info.value)

@@ -348,7 +348,7 @@ class TestCatalogVerbs:
         t2_graph, _ = graphs["t2"]
         index = build_index(graph, scheme="dual-i")
         t2_index = build_index(t2_graph, scheme="dual-ii")
-        saved = tmp_path / "t2.dual-ii.json"
+        saved = tmp_path / "t2.dual-ii.idx"
         save_dual_index(t2_index, saved)
         pairs = _pairs(t2_graph)
         with serve(index) as handle, \
