@@ -78,7 +78,7 @@ from repro.bench.runner import main as bench_main
 from repro.bench.timing import measure_build_time, measure_query_time
 from repro.bench.workloads import random_query_pairs
 from repro.core.base import available_schemes, build_index
-from repro.exceptions import DatasetError, ReproError
+from repro.exceptions import ReproError
 from repro.datasets import dataset_names, load_dataset
 from repro.graph.generators import (
     gnm_random_digraph,
@@ -209,28 +209,46 @@ def _parse_tenant(text: str) -> tuple[str, str]:
     return name, source
 
 
-def _build_tenants(args: argparse.Namespace) -> list[dict]:
-    """Build the startup tenant indexes for ``serve --tenant``."""
-    tenants = []
+def _tenant_rows(args: argparse.Namespace, restored=()) -> list:
+    """Build the new startup tenants of ``serve --tenant`` as entry
+    rows; names already ``restored`` from durable state are skipped."""
+    from repro.server.tenancy import EntryRow
+
+    rows = []
     for name, source in args.tenant or ():
-        graph = read_edge_list(source)
-        tenants.append({
-            "name": name,
-            "index": build_index(graph, scheme=args.scheme),
-            "scheme": args.scheme,
-        })
-    return tenants
+        if name in restored:
+            print(f"state-dir: tenant {name!r} restored from durable "
+                  f"state; --tenant flag ignored", file=sys.stderr,
+                  flush=True)
+            continue
+        rows.append(EntryRow(name, scheme=args.scheme,
+                             index=build_index(read_edge_list(source),
+                                               scheme=args.scheme)))
+    return rows
+
+
+def _default_index(args: argparse.Namespace) -> tuple:
+    """``serve``'s default index and scheme, loaded from ``--index``
+    or built from the graph file."""
+    if args.index is not None:
+        from repro.core.serialize import load_dual_index
+
+        index = load_dual_index(args.index)
+        return index, index.stats().scheme
+    return (build_index(read_edge_list(args.graph), scheme=args.scheme),
+            args.scheme)
 
 
 def _durable_boot(args: argparse.Namespace):
     """``serve --state-dir``: recover the catalog before serving.
 
-    Returns ``(state, index, scheme, tenant_specs)`` where the default
-    index and every tenant come from the last durable generation when
-    one exists; the CLI graph/--index arguments are only the *fallback*
-    for a fresh state dir (or a quarantined default artifact).  New
-    ``--tenant`` flags whose names are not yet durable are built,
-    saved, and journaled here so the next start restores them too.
+    Returns ``(state, rows, degraded_reasons)``: one entry row per
+    catalog entry, entry 0 first.  The default index and every tenant
+    come from the last durable generation when one exists; the CLI
+    graph/--index arguments are only the *fallback* for a fresh state
+    dir (or a quarantined default artifact).  New ``--tenant`` flags
+    whose names are not yet durable become new rows, which the server
+    or fleet creates and journals so the next start restores them too.
     """
     from repro.server.durability import DurableState, restore_catalog
 
@@ -242,68 +260,16 @@ def _durable_boot(args: argparse.Namespace):
     for note in report.notes:
         print(f"state-dir: {note}", file=sys.stderr, flush=True)
 
-    def default_factory():
-        if args.index is not None:
-            from repro.core.serialize import load_dual_index
-
-            index = load_dual_index(args.index)
-            return index, index.stats().scheme
-        if args.graph is None:
-            raise DatasetError(
-                "a fresh --state-dir needs a graph file or --index "
-                "to build the default index from")
-        return (build_index(read_edge_list(args.graph),
-                            scheme=args.scheme), args.scheme)
-
-    boot = restore_catalog(state, default_factory=default_factory)
+    boot = restore_catalog(state,
+                           default_factory=lambda: _default_index(args))
     for note in boot.notes:
         print(f"state-dir: {note}", file=sys.stderr, flush=True)
     for reason in boot.degraded:
         print(f"state-dir: DEGRADED: {reason}", file=sys.stderr,
               flush=True)
-
-    tenants = []
-    restored = set()
-    for restoredent in boot.tenants:
-        restored.add(restoredent.name)
-        tenants.append({
-            "name": restoredent.name, "index": restoredent.index,
-            "scheme": restoredent.scheme,
-            "quota": restoredent.quota or None,
-            "index_id": restoredent.index_id,
-            "generation": restoredent.generation,
-        })
-    for name, source in args.tenant or ():
-        if name in restored:
-            print(f"state-dir: tenant {name!r} restored from durable "
-                  f"state; --tenant flag ignored", file=sys.stderr,
-                  flush=True)
-            continue
-        index = build_index(read_edge_list(source), scheme=args.scheme)
-        # Same commit ordering as the live catalog verbs: create
-        # record, artifact, then the install record that references it.
-        snap = state.entry(name)
-        if snap is None:
-            free = {e.index_id for e in state.entries()}
-            index_id = next(i for i in range(1, 0xFFFF)
-                            if i not in free)
-            state.record_create(name, index_id=index_id,
-                                scheme=args.scheme, quota={})
-        else:
-            index_id = snap.index_id
-        generation = state.next_generation(name)
-        artifact = state.save_index(index, name, generation)
-        from repro.server.durability import index_label_bytes
-        state.record_install(name, index_id=index_id,
-                             scheme=args.scheme, generation=generation,
-                             label_bytes=index_label_bytes(index),
-                             artifact=artifact)
-        tenants.append({"name": name, "index": index,
-                        "scheme": args.scheme, "quota": None,
-                        "index_id": index_id,
-                        "generation": generation})
-    return state, boot.default.index, boot.default.scheme, tenants, \
-        boot.degraded
+    rows = [boot.default, *boot.tenants]
+    rows += _tenant_rows(args, {row.name for row in boot.tenants})
+    return state, rows, boot.degraded
 
 
 def _serve_obs_options(args: argparse.Namespace) -> tuple:
@@ -340,26 +306,18 @@ def _serve_obs_options(args: argparse.Namespace) -> tuple:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.core.service import QueryService
     from repro.server.server import ReachServer, ServerConfig
-    from repro.server.tenancy import TenantQuota
+    from repro.server.tenancy import DEFAULT_INDEX, DEFAULT_INDEX_ID, EntryRow
 
     state = None
     degraded_reasons: list[str] = []
     if args.state_dir is not None:
-        state, index, scheme, tenants, degraded_reasons = \
-            _durable_boot(args)
+        state, rows, degraded_reasons = _durable_boot(args)
     else:
-        if args.index is not None:
-            from repro.core.serialize import load_dual_index
-
-            index = load_dual_index(args.index)
-            scheme = index.stats().scheme
-        else:
-            graph = read_edge_list(args.graph)
-            index = build_index(graph, scheme=args.scheme)
-            scheme = args.scheme
-        tenants = _build_tenants(args)
+        index, scheme = _default_index(args)
+        rows = [EntryRow(DEFAULT_INDEX, DEFAULT_INDEX_ID, scheme,
+                         index=index), *_tenant_rows(args)]
+    index, scheme, tenants = rows[0].index, rows[0].scheme, rows[1:]
     slo_defaults, flight_dir = _serve_obs_options(args)
     if args.workers > 1:
         return _serve_fleet(args, index, scheme, tenants, state=state,
@@ -382,33 +340,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slo_defaults=slo_defaults,
         flight_dir=flight_dir,
         state=state)
-    server = ReachServer(QueryService(index), scheme=scheme,
-                         config=config)
-    if state is not None:
-        # The restored default generation, so reload replies and the
-        # durable journal keep counting from the same number.
-        server.catalog.default.generation = \
-            state.entry("default").generation if state.entry("default") \
-            else 0
+    server = ReachServer(None, scheme=scheme, config=config)
+    # Pre-start registration: the event loop is not running yet, so
+    # adopting the boot rows here is safe.
+    for row in rows:
+        server.adopt(row)
     for reason in degraded_reasons:
         server.note_degraded(reason)
-    for spec in tenants:
-        # Pre-start install: the event loop is not running yet, so
-        # registering and loading the startup tenants here is safe.
-        quota = (TenantQuota.from_payload(spec["quota"])
-                 if spec.get("quota") else None)
-        entry = server.catalog.create(spec["name"],
-                                      scheme=spec["scheme"],
-                                      quota=quota,
-                                      index_id=spec.get("index_id"))
-        if spec.get("index") is not None:
-            label = server.catalog.check_budget(entry, spec["index"])
-            server.catalog.install(entry, QueryService(spec["index"]),
-                                   scheme=spec["scheme"],
-                                   label_bytes=label)
-        if spec.get("generation"):
-            # Restored entries resume their durable generation count.
-            entry.generation = spec["generation"]
 
     async def _serve() -> None:
         await server.start()
@@ -419,8 +357,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"max_delay={config.max_delay * 1000:.1f}ms, "
               f"policy={config.policy}  (ctrl-c to stop)", flush=True)
         if tenants:
-            print("tenants: "
-                  + ", ".join(spec["name"] for spec in tenants),
+            print("tenants: " + ", ".join(row.name for row in tenants),
                   flush=True)
         if config.metrics_port is not None:
             print(f"Prometheus scrape endpoint on "
@@ -445,7 +382,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_fleet(args: argparse.Namespace, index, scheme: str,
-                 tenants: list[dict], *, state=None,
+                 tenants: list, *, state=None,
                  degraded_reasons: Sequence[str] = (),
                  slo_defaults=None, flight_dir=None) -> int:
     """``serve --workers N``: the SO_REUSEPORT worker fleet."""
@@ -508,8 +445,7 @@ def _serve_fleet(args: argparse.Namespace, index, scheme: str,
                   f"http://{args.host}:{fleet.metrics_port}/metrics",
                   flush=True)
         if tenants:
-            print("tenants: "
-                  + ", ".join(spec["name"] for spec in tenants),
+            print("tenants: " + ", ".join(row.name for row in tenants),
                   flush=True)
         done.wait()
         print("\nfleet stopped")

@@ -57,20 +57,19 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.serialize import (load_dual_index, save_dual_index,
                                   write_atomic)
-from repro.exceptions import (CorruptJournalError, IndexBuildError,
-                              ReproError)
+from repro.exceptions import CorruptJournalError, IndexBuildError
+from repro.server.tenancy import (DEFAULT_INDEX, DEFAULT_INDEX_ID,
+                                  EntryRow, index_label_bytes)
 
 __all__ = [
     "BootCatalog",
-    "index_label_bytes",
     "DurableState",
     "EntryState",
     "RecoveryReport",
-    "RestoredEntry",
     "restore_catalog",
 ]
 
@@ -435,15 +434,30 @@ class DurableState:
                 quota=dict(quota or {}))
             self._maybe_checkpoint_locked()
 
+    def commit_install(self, index, name: str, *, index_id: int,
+                       scheme: str, label_bytes: int) -> int:
+        """Make ``index`` the next durable generation of ``name``;
+        returns that generation.
+
+        The commit of every build, load and reload: the artifact is
+        saved first, then the fsynced ``install`` record that names it
+        — the commit point.  Callers install the new generation in
+        memory and acknowledge their client only after this returns, so
+        an acknowledged install survives any crash; a crash before the
+        record leaves an unreferenced artifact that recovery removes.
+        """
+        generation = self.next_generation(name)
+        artifact = self.save_index(index, name, generation)
+        self.record_install(name, index_id=index_id, scheme=scheme,
+                            generation=generation,
+                            label_bytes=label_bytes, artifact=artifact)
+        return generation
+
     def record_install(self, name: str, *, index_id: int, scheme: str,
                        generation: int, label_bytes: int,
                        artifact: str | None) -> None:
-        """Journal a new live generation (fsynced before returning).
-
-        This is the commit point of a build/load/reload: callers save
-        the artifact first, journal second, and only then install the
-        new service in memory and acknowledge their client.
-        """
+        """Journal a new live generation (fsynced before returning);
+        :meth:`commit_install` is the caller that keeps the ordering."""
         doc = {"op": "install", "name": name, "index_id": index_id,
                "scheme": scheme, "generation": generation,
                "label_bytes": label_bytes, "artifact": artifact}
@@ -618,24 +632,13 @@ class DurableState:
 # -- boot-time catalog restore ------------------------------------------
 
 @dataclass
-class RestoredEntry:
-    """One catalog entry ready to register at server/fleet boot."""
-
-    name: str
-    index_id: int
-    scheme: str
-    generation: int
-    quota: dict
-    #: The loaded index object, or ``None`` for a registered-but-empty
-    #: entry (never installed, or its artifact was quarantined).
-    index: Any = None
-
-
-@dataclass
 class BootCatalog:
-    """What :func:`restore_catalog` hands the CLI bootstrap."""
+    """What :func:`restore_catalog` hands the CLI bootstrap: one
+    :class:`~repro.server.tenancy.EntryRow` per entry, whose ``index``
+    is ``None`` for a registered-but-empty entry (never installed, or
+    its artifact was quarantined)."""
 
-    default: RestoredEntry
+    default: EntryRow
     tenants: list = field(default_factory=list)
     #: Human-readable boot notes (restored generations, fresh builds).
     notes: list = field(default_factory=list)
@@ -698,11 +701,7 @@ def restore_catalog(state: DurableState, *,
     if default_snap is not None:
         default_index = _load_entry_index(state, default_snap, boot)
     if default_index is not None:
-        boot.default = RestoredEntry(
-            name=default_snap.name, index_id=0,
-            scheme=default_snap.scheme,
-            generation=default_snap.generation,
-            quota=dict(default_snap.quota), index=default_index)
+        boot.default = _row(default_snap, default_index)
         boot.notes.append(
             f"default index restored at generation "
             f"{default_snap.generation}")
@@ -710,25 +709,19 @@ def restore_catalog(state: DurableState, *,
         # Fresh state dir, or the durable default was quarantined:
         # (re)build from the CLI graph and make it durable now.
         index, scheme = default_factory()
-        generation = state.next_generation("default")
-        artifact = state.save_index(index, "default", generation)
         label_bytes = index_label_bytes(index)
-        state.record_install("default", index_id=0, scheme=scheme,
-                             generation=generation,
-                             label_bytes=label_bytes,
-                             artifact=artifact)
-        boot.default = RestoredEntry(
-            name="default", index_id=0, scheme=scheme,
-            generation=generation, quota={}, index=index)
+        generation = state.commit_install(
+            index, DEFAULT_INDEX, index_id=DEFAULT_INDEX_ID,
+            scheme=scheme, label_bytes=label_bytes)
+        boot.default = EntryRow(DEFAULT_INDEX, DEFAULT_INDEX_ID, scheme,
+                                generation, label_bytes=label_bytes,
+                                index=index)
         boot.notes.append(
             f"default index built fresh as generation {generation}")
 
     for snap in tenant_snaps:
-        index = _load_entry_index(state, snap, boot)
-        boot.tenants.append(RestoredEntry(
-            name=snap.name, index_id=snap.index_id,
-            scheme=snap.scheme, generation=snap.generation,
-            quota=dict(snap.quota), index=index))
+        boot.tenants.append(
+            _row(snap, _load_entry_index(state, snap, boot)))
     if tenant_snaps:
         loaded = sum(1 for t in boot.tenants if t.index is not None)
         boot.notes.append(
@@ -739,10 +732,8 @@ def restore_catalog(state: DurableState, *,
     return boot
 
 
-def index_label_bytes(index) -> int:
-    """Best-effort label footprint for durable metadata (same measure
-    as the catalog's admission accounting; 0 when unavailable)."""
-    try:
-        return int(index.stats().total_space_bytes)
-    except (ReproError, AttributeError, TypeError, ValueError):
-        return 0
+def _row(snap: EntryState, index) -> EntryRow:
+    return EntryRow(snap.name, snap.index_id, snap.scheme, snap.generation,
+                    dict(snap.quota) or None,
+                    snap.label_bytes if index is not None else 0,
+                    index=index)

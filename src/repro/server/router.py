@@ -15,16 +15,17 @@ would itself be GIL-bound at roughly the single-server qps ceiling,
 capping the fleet at 1× no matter how many workers sit behind it.
 
 Generation-aware hot swap: any worker that receives a ``reload`` or a
-mutating ``catalog`` op forwards it here.  Every catalog entry — entry
-0, the default index, like every tenant — has its own shared-memory
-segment per generation and swaps through one path: the parent rebuilds
-(or loads) the entry's new index once, publishes it as generation
-``g+1``, commands every worker to swap,
-waits for the acks, unlinks generation ``g``, and only then releases
-the requesting worker's reply — so a success reply is never observable
-before the whole fleet serves the new index, and each worker's
-per-flush service snapshot guarantees no micro-batch ever mixes
-generations.  A worker that fails to ack in time is killed and
+mutating ``catalog`` op forwards it here, and the parent runs it
+through the same :class:`~repro.server.tenancy.CatalogMutator` as a
+single server.  Every catalog entry — entry 0, the default index, like
+every tenant — has its own shared-memory segment per generation: the
+parent rebuilds (or loads) the entry's new index once, journals it,
+publishes it as generation ``g+1``, sends every worker the entry's
+row, waits for the acks, unlinks generation ``g``, and only then
+releases the requesting worker's reply — so a success reply is never
+observable before the whole fleet serves the new index, and each
+worker's per-flush service snapshot guarantees no micro-batch ever
+mixes generations.  A worker that fails to ack in time is killed and
 respawned directly onto the new generation.
 
 Supervision extends the PR-4 :class:`~repro.server.server.Supervisor`
@@ -50,7 +51,6 @@ from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any
 
-from repro.core.serialize import load_dual_index
 from repro.core.shm import (SEGMENT_PREFIX, PublishedIndex,
                             publish_index, sweep_stale_segments)
 from repro.exceptions import ReproError
@@ -58,21 +58,12 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.prometheus import CONTENT_TYPE, merge_expositions
 from repro.server import protocol
 from repro.server.protocol import ProtocolError
-from repro.server.tenancy import (DEFAULT_INDEX_ID, CatalogEntry,
-                                  CatalogService, TenantQuota)
+from repro.server.tenancy import (DEFAULT_INDEX, DEFAULT_INDEX_ID,
+                                  CatalogEntry, CatalogMutator,
+                                  CatalogService, EntryRow, Mutation)
 from repro.server.worker import worker_main
 
 __all__ = ["FleetError", "WorkerFleet"]
-
-
-class _TenantPub:
-    """Parent-side shared-memory state of one catalog entry's index."""
-
-    __slots__ = ("published", "segment")
-
-    def __init__(self) -> None:
-        self.published: PublishedIndex | None = None
-        self.segment: str | None = None
 
 
 class FleetError(ReproError):
@@ -112,6 +103,9 @@ class _WorkerHandle:
         #: Restart budget exhausted — the supervisor gave up on this
         #: slot and the fleet runs degraded on the survivors.
         self.abandoned = False
+        #: The current process's death was reported (see
+        #: :meth:`WorkerFleet._poll_control`).
+        self.exited = False
         # Liveness-probe state: sequence of the outstanding ping (if
         # any), when it was sent, and when the last probe round ran.
         self.ping_seq = 0
@@ -144,14 +138,14 @@ class WorkerFleet:
     host / port:
         The shared listening address (``0`` picks a free port).
     tenants:
-        Optional static tenant manifest: dicts with ``name``, an
-        optional built ``index`` (published into a per-index
-        ``/dev/shm`` segment at start; omitted = registered empty),
-        optional ``scheme``, and an optional ``quota`` dict (see
-        :class:`~repro.server.tenancy.TenantQuota`).  Further tenants
-        can be added at runtime through the ``catalog`` verb — any
-        worker forwards mutations here and the parent moves the whole
-        fleet together.
+        Startup entries as :class:`~repro.server.tenancy.EntryRow`
+        rows: restored ones (with an ``index_id``) resume their
+        durable generation, new ones are created and installed through
+        the catalog mutation path.  A row's ``index`` is published into
+        a per-index ``/dev/shm`` segment at start; a row without one
+        stays registered but empty.  Further tenants can be added at
+        runtime through the ``catalog`` verb — any worker forwards
+        mutations here and the parent moves the whole fleet together.
     server_options:
         Picklable :class:`~repro.server.server.ServerConfig` keywords
         applied to every worker (``max_batch``, ``policy``, ...).
@@ -187,7 +181,7 @@ class WorkerFleet:
     def __init__(self, index, *, scheme: str = "dual-i",
                  workers: int = 2, host: str = "127.0.0.1",
                  port: int = 0,
-                 tenants: list[dict] | None = None,
+                 tenants: list[EntryRow] | None = None,
                  server_options: dict | None = None,
                  max_restarts: int | None = 8,
                  base_delay: float = 0.1, max_delay: float = 5.0,
@@ -225,50 +219,38 @@ class WorkerFleet:
                            f"{secrets.token_hex(3)}")
         # The parent's catalog registry (no serving backend — every
         # entry's service stays None): one source of truth for names,
-        # numeric ids, schemes, quotas and durable generations, shared
-        # with the workers via the spawn manifest.
+        # numeric ids, schemes, quotas and generations, shared with the
+        # workers as entry rows.
         self._catalog = CatalogService(None, scheme=scheme)
-        #: Durable-state subsystem (``serve --state-dir``), or
-        #: ``None``.  Only the parent carries it: every fleet-wide
-        #: catalog mutation is journaled here *before* workers swap
-        #: and the requester is acknowledged; workers themselves
-        #: never touch the state dir.
-        self._state = state
+        # Only the parent carries the durable state (``serve
+        # --state-dir``): every fleet-wide catalog mutation is journaled
+        # here *before* workers swap and the requester is acknowledged;
+        # workers themselves never touch the state dir.
+        self._mutator = CatalogMutator(self._catalog, state)
+        generation = 0
         if state is not None:
-            snap = state.entry("default")
+            snap = state.entry(DEFAULT_INDEX)
             if snap is not None:
-                # Workers mirror the journal generation through the
-                # manifest, so `catalog list` and reload replies report
+                # Workers mirror the journal generation through their
+                # rows, so `catalog list` and reload replies report
                 # journal generations fleet-wide.
-                self._catalog.default.generation = snap.generation
+                generation = snap.generation
             if state.recovery_seconds is not None:
                 # The parent recovered once for the whole fleet; hand
                 # each worker the number so its exposition carries
                 # ``reach_recovery_seconds`` like a single server's.
                 self._server_options["recovery_seconds"] = \
                     state.recovery_seconds
-        default = self._catalog.default
-        self._pubs: dict[str, _TenantPub] = {default.name: _TenantPub()}
-        #: ``(entry, built index)`` pairs published at :meth:`start`,
-        #: entry 0 first.
-        self._startup: list[tuple[CatalogEntry, Any]] = [
-            (default, index)]
-        for spec in (tenants or []):
-            quota = (spec["quota"]
-                     if isinstance(spec.get("quota"), TenantQuota)
-                     else TenantQuota.from_payload(spec.get("quota")))
-            entry = self._catalog.create(
-                spec["name"], scheme=spec.get("scheme", scheme),
-                quota=quota, index_id=spec.get("index_id"))
-            if spec.get("generation"):
-                # Durable boot: resume the tenant's generation count
-                # where the journal left it (also used for segment
-                # names, so a restarted fleet never reuses a name a
-                # dying worker may still have mapped).
-                entry.generation = spec["generation"]
-            self._pubs[entry.name] = _TenantPub()
-            if spec.get("index") is not None:
-                self._startup.append((entry, spec["index"]))
+        #: Each entry's live ``/dev/shm`` generation, by entry name.
+        self._segments: dict[str, PublishedIndex] = {}
+        #: Rows whose index is published at :meth:`start`, entry 0
+        #: first.
+        self._startup: list[EntryRow] = []
+        for row in [EntryRow(DEFAULT_INDEX, DEFAULT_INDEX_ID, scheme,
+                             generation, index=index), *(tenants or [])]:
+            row = self._mutator.adopt(row)
+            if row.index is not None:
+                self._startup.append(row)
         self._reserve_sock: socket.socket | None = None
         self._port: int | None = None
         self._monitor: threading.Thread | None = None
@@ -338,8 +320,10 @@ class WorkerFleet:
         # check keep live fleets' segments untouched.
         sweep_stale_segments()
         try:
-            for entry, index in self._startup:
-                self._publish(entry, index, entry.generation)
+            for row in self._startup:
+                self._segments[row.name] = publish_index(
+                    row.index, name=self._segment_name(row.index_id,
+                                                       row.generation))
         except BaseException:
             self._unlink_all()
             raise
@@ -425,12 +409,7 @@ class WorkerFleet:
         self._scrape_active.clear()
         for job in stuck:
             job.event.set()
-        for handle in self._handles:
-            if handle.conn is not None:
-                try:
-                    handle.conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
+        self._send(("stop",))
         deadline = time.monotonic() + timeout
         for handle in self._handles:
             if handle.process is not None:
@@ -452,31 +431,17 @@ class WorkerFleet:
 
     def _unlink_all(self) -> None:
         """Unlink every catalog entry's current segment."""
-        for pub in self._pubs.values():
-            if pub.published is not None:
-                pub.published.unlink()
-                pub.published = None
-                pub.segment = None
+        for published in self._segments.values():
+            published.unlink()
+        self._segments.clear()
 
     def _segment_name(self, index_id: int, generation: int) -> str:
         return f"{self._base_name}-i{index_id}-g{generation}"
 
-    def _publish(self, entry: CatalogEntry, index,
-                 generation: int) -> PublishedIndex | None:
-        """Budget-check and publish generation ``generation`` of
-        ``entry``'s index.
-
-        Returns the *previous* generation's segment — the caller
-        unlinks it only after every worker has acked the new one, so
-        in-flight attaches never race an unlink.
-        """
-        self._catalog.check_budget(entry, index)
-        pub = self._pubs[entry.name]
-        segment = self._segment_name(entry.index_id, generation)
-        old = pub.published
-        pub.published = publish_index(index, name=segment)
-        pub.segment = segment
-        return old
+    def _row(self, entry: CatalogEntry) -> EntryRow:
+        """``entry`` as the row workers register and attach."""
+        published = self._segments.get(entry.name)
+        return entry.row(published.name if published else None)
 
     def __enter__(self) -> "WorkerFleet":
         return self.start()
@@ -491,12 +456,8 @@ class WorkerFleet:
         # Current catalog manifest, entry 0 first: a respawned worker
         # attaches every entry's *current* generation, not the one at
         # fleet start.
-        options["catalog"] = [
-            {"name": entry.name, "index_id": entry.index_id,
-             "scheme": entry.scheme, "quota": entry.quota.as_dict(),
-             "generation": entry.generation,
-             "segment": self._pubs[entry.name].segment}
-            for entry in self._catalog.entries()]
+        options["catalog"] = [self._row(entry)
+                              for entry in self._catalog.entries()]
         process = self._ctx.Process(
             target=worker_main,
             args=(handle.worker_id, self._host, self._port, options,
@@ -506,6 +467,7 @@ class WorkerFleet:
         process.start()
         child_conn.close()
         handle.process = process
+        handle.exited = False
         handle.conn = parent_conn
         handle.ready = False
         handle.started_at = time.monotonic()
@@ -527,8 +489,11 @@ class WorkerFleet:
         """
         conns = {h.conn: h for h in self._handles
                  if h.conn is not None}
+        # Every unreported process, dead or alive: a process that died
+        # while no wait was running (and that another thread's
+        # ``is_alive()`` already reaped) still has a ready sentinel.
         sentinels = {h.process.sentinel: h for h in self._handles
-                     if h.process is not None and h.process.is_alive()}
+                     if h.process is not None and not h.exited}
         waitables = list(conns) + list(sentinels)
         if not waitables:
             time.sleep(min(timeout, 0.05))
@@ -544,6 +509,7 @@ class WorkerFleet:
                 except (EOFError, OSError):
                     pass  # the sentinel will report the death
             else:
+                sentinels[obj].exited = True
                 events.append(("died", sentinels[obj]))
         return events
 
@@ -585,11 +551,8 @@ class WorkerFleet:
             elif now - handle.last_probe >= self._probe_interval:
                 handle.ping_seq += 1
                 handle.last_probe = now
-                try:
-                    handle.conn.send(("ping", handle.ping_seq))
-                except (BrokenPipeError, OSError):
-                    continue
-                handle.ping_sent = now
+                if self._send(("ping", handle.ping_seq), [handle]):
+                    handle.ping_sent = now
 
     def _dispatch(self, event: tuple,
                   during_start: bool = False) -> None:
@@ -606,12 +569,9 @@ class WorkerFleet:
             handle.ready = True
         elif verb == "pong":
             handle.ping_sent = None
-        elif verb == "reload":
-            _, worker_id, token, payload = message
-            self._fleet_reload(handle, token, payload)
-        elif verb == "catalog":
-            _, worker_id, token, payload = message
-            self._fleet_catalog(handle, token, payload)
+        elif verb == "mutate":
+            _, worker_id, token, request_verb, payload = message
+            self._mutate(handle, token, request_verb, payload)
         elif verb == "scrape_result":
             _, worker_id, token, text = message
             job = self._scrape_active.get(token)
@@ -629,8 +589,8 @@ class WorkerFleet:
                 raise FleetError(
                     f"worker {handle.worker_id} failed to start: "
                     f"{message[2]}")
-        # "swap_ok"/"swap_err" outside an orchestration window and
-        # "bye" acknowledgements need no action here.
+        # "swapped" outside an orchestration window and "bye"
+        # acknowledgements need no action here.
 
     def _backoff(self, consecutive: int) -> float:
         delay = min(self._base_delay * (2 ** (consecutive - 1)),
@@ -703,305 +663,119 @@ class WorkerFleet:
             return client.reload(graph=graph, index=index, scheme=scheme,
                                  name=name)
 
-    def _fleet_reload(self, requester: _WorkerHandle, token: int,
-                      payload: dict) -> None:
-        """Rebuild once, move every worker, then answer the requester.
+    # -- fleet-wide catalog mutations -----------------------------------
+    def _mutate(self, requester: _WorkerHandle, token: int, verb: str,
+                payload: dict) -> None:
+        """Run one forwarded mutation through the shared path, move
+        every worker, then answer the requester.
 
         Runs on the monitor thread; control messages that arrive while
         the acks drain are deferred, which serialises concurrent
-        reload requests (the second rebuilds on top of the first's
-        generation — last writer wins, same as the single server).
+        mutations (a second reload rebuilds on top of the first's
+        generation — last writer wins, as on the single server).
         """
+        m: Mutation | None = None
         try:
-            summary = self._swap(
-                self._catalog.lookup(payload.get("name")), payload)
+            m = self._mutator.parse(verb, payload)
+            self._mutator.prepare(m)
+            ok, doc = True, self._apply(m)
         except Exception as exc:
             # Catch-all on purpose: this runs on the monitor thread,
-            # and an escaped exception (say a KeyError from an unknown
-            # scheme name) would kill the fleet's whole control plane,
-            # not just this request.
-            self._reply_reload(requester, token, False,
-                               f"{type(exc).__name__}: {exc}")
-        else:
-            self._reply_reload(requester, token, True, summary)
+            # and an escaped exception would kill the fleet's whole
+            # control plane, not just this request.
+            if not isinstance(exc, ProtocolError):
+                exc = ProtocolError(
+                    protocol.ERR_RELOAD_FAILED if isinstance(exc, OSError)
+                    else protocol.ERR_INTERNAL,
+                    f"{type(exc).__name__}: {exc}")
+            ok, doc = False, {
+                "code": exc.code, "message": exc.message,
+                "degrades": exc.code == protocol.ERR_RELOAD_FAILED
+                and m is not None and m.on_default}
+        self._send(("result", token, ok, doc), [requester])
 
-    def _reply_reload(self, requester: _WorkerHandle, token: int,
-                      ok: bool, doc) -> None:
-        if requester.conn is None:
-            return  # the requester died mid-reload; nobody to answer
-        try:
-            requester.conn.send(("reload_result", token, ok, doc))
-        except (BrokenPipeError, OSError):
-            pass
+    def _apply(self, m: Mutation) -> dict:
+        """Commit a prepared ``m`` and move every worker to it; returns
+        the requester's result.
 
-    @staticmethod
-    def _rebuild_index(payload: dict, default_scheme: str):
-        """Build or load the payload's index."""
-        graph_path = payload.get("graph")
-        index_path = payload.get("index")
-        if bool(graph_path) == bool(index_path):
-            raise ReproError(
-                "reload requires exactly one of 'graph' or 'index'")
-        scheme = payload.get("scheme", default_scheme)
-        if not isinstance(scheme, str):
-            raise ReproError("scheme must be a string")
-
-        from repro.core.base import build_index
-        from repro.graph.io import read_edge_list
-
-        started = time.perf_counter()
-        if index_path:
-            new_index = load_dual_index(index_path)
-        else:
-            new_index = build_index(read_edge_list(graph_path),
-                                    scheme=scheme)
-        build_seconds = time.perf_counter() - started
-        scheme_name = type(new_index).scheme_name or scheme
-        return new_index, scheme_name, build_seconds
-
-    def _persist_install(self, name: str, index_id: int, index,
-                         scheme_name: str) -> int | None:
-        """Journal a new generation before the fleet serves it.
-
-        The fleet twin of the single-server commit ordering: artifact
-        first, then the fsynced ``install`` record — only after this
-        returns is the segment published, workers swapped, and the
-        requester acknowledged.  Returns the durable generation
-        (``None`` without ``--state-dir``); failures propagate as
-        build failures, so an un-persistable generation never serves.
+        The fleet's one serving step.  An install publishes the entry's
+        next ``/dev/shm`` generation first, so a failed publish changes
+        nothing in memory.  Every worker then gets the entry's row (or
+        the drop); pipes are FIFO, so the requester applies it before
+        it reads its result.  A new segment must be acked by every
+        worker — stragglers are killed and respawn onto it — before the
+        old one is unlinked and the requester answered.
         """
-        if self._state is None:
-            return None
-        from repro.server.durability import index_label_bytes
-
-        generation = self._state.next_generation(name)
-        artifact = self._state.save_index(index, name, generation)
-        self._state.record_install(
-            name, index_id=index_id, scheme=scheme_name,
-            generation=generation,
-            label_bytes=index_label_bytes(index), artifact=artifact)
-        return generation
-
-    def _swap(self, entry: CatalogEntry, payload: dict) -> dict:
-        """Rebuild one entry's index and move the whole fleet to it.
-
-        The one swap pipeline for every index id (entry 0 included):
-        build or load once, journal it, publish the entry's next
-        ``/dev/shm`` generation, command every worker to swap *that
-        entry only*, collect acks, then unlink the previous
-        generation.  Other entries' segments and lanes are untouched
-        throughout.
-        """
-        new_index, scheme_name, build_seconds = self._rebuild_index(
-            payload, entry.scheme)
-        # Admission before the durable commit (publish re-checks, but
-        # an over-budget index must never reach the journal).
-        self._catalog.check_budget(entry, new_index)
-        durable_gen = self._persist_install(
-            entry.name, entry.index_id, new_index, scheme_name)
-        generation = (durable_gen if durable_gen is not None
-                      else entry.generation + 1)
-        old_published = self._publish(entry, new_index, generation)
-        # Workers bump their own copy by one per install, in lockstep.
-        entry.generation = generation
-        entry.scheme = scheme_name
-        pub = self._pubs[entry.name]
-        acked = self._broadcast_swap(pub.segment, scheme_name,
-                                     entry.index_id)
-        if old_published is not None:
-            old_published.unlink()
-        self.swaps += 1
-        self.flight.record("swap", index=entry.name,
-                           generation=entry.generation,
-                           workers=len(acked))
-        stats = new_index.stats()
-        return {
-            "swapped": True,
-            "index_name": entry.name,
-            "scheme": scheme_name,
-            "source": "index" if payload.get("index") else "graph",
-            "nodes": stats.num_nodes,
-            "edges": stats.num_edges,
-            "build_seconds": build_seconds,
-            "phase_seconds": dict(stats.phase_seconds),
-            "index_swaps": self.swaps,
-            "generation": entry.generation,
-            "workers": len(acked),
-        }
-
-    def _broadcast_swap(self, segment: str, scheme_name: str,
-                        index_id: int) -> set:
-        """Send one swap command fleet-wide and collect the acks;
-        stragglers are killed and respawn onto the new generation."""
-        targets = [h for h in self._handles
-                   if h.conn is not None and h.alive]
-        for handle in targets:
-            try:
-                handle.conn.send(("swap", segment, scheme_name,
-                                  index_id))
-            except (BrokenPipeError, OSError):
-                pass
-        acked = self._collect_swap_acks(targets, segment)
-        for handle in targets:
-            if handle not in acked and handle.alive \
-                    and handle.process is not None:
-                # Straggler or failed attach: kill it; the supervisor
-                # respawns it directly onto the new generation.
-                handle.process.kill()
-        return acked
-
-    # -- fleet-wide catalog mutations -----------------------------------
-    def _fleet_catalog(self, requester: _WorkerHandle, token: int,
-                       payload: dict) -> None:
-        """Serve one forwarded catalog mutation and answer the
-        requester (runs on the monitor thread, like reloads)."""
-        try:
-            result = self._catalog_mutation(payload)
-        except ProtocolError as exc:
-            self._reply_catalog(requester, token, False,
-                                {"code": exc.code,
-                                 "message": exc.message})
-        except Exception as exc:
-            # Same catch-all rationale as _fleet_reload: the monitor
-            # thread must survive any single bad request.
-            self._reply_catalog(
-                requester, token, False,
-                {"code": protocol.ERR_RELOAD_FAILED,
-                 "message": f"{type(exc).__name__}: {exc}"})
-        else:
-            self._reply_catalog(requester, token, True, result)
-
-    def _reply_catalog(self, requester: _WorkerHandle, token: int,
-                       ok: bool, doc) -> None:
-        if requester.conn is None:
-            return
-        try:
-            requester.conn.send(("catalog_result", token, ok, doc))
-        except (BrokenPipeError, OSError):
-            pass
-
-    def _catalog_mutation(self, payload: dict) -> dict:
-        op = payload.get("op")
-        if op == "create":
-            quota = TenantQuota.from_payload(payload.get("quota"))
-            scheme = payload.get("scheme", self._catalog.default.scheme)
-            if not isinstance(scheme, str):
-                raise ProtocolError(protocol.ERR_BAD_REQUEST,
-                                    "scheme must be a string")
-            entry = self._catalog.create(payload.get("name"),
-                                         scheme=scheme, quota=quota)
-            if self._state is not None:
-                try:
-                    self._state.record_create(
-                        entry.name, index_id=entry.index_id,
-                        scheme=scheme, quota=quota.as_dict())
-                except (ReproError, OSError):
-                    # Undo before replying: a create that never became
-                    # durable must not exist anywhere in the fleet.
-                    self._catalog.drop(entry.name)
-                    raise
-            self._pubs[entry.name] = _TenantPub()
-            spec = {"name": entry.name, "index_id": entry.index_id,
-                    "scheme": entry.scheme,
-                    "quota": entry.quota.as_dict(),
-                    "generation": entry.generation, "segment": None}
-            # Pipe FIFO ordering makes the requester's create land
-            # before its client reply is released below.
-            for handle in self._handles:
-                if handle.conn is not None and handle.alive:
-                    try:
-                        handle.conn.send(("catalog_create", spec))
-                    except (BrokenPipeError, OSError):
-                        pass
-            self.flight.record("catalog", op="create",
-                               index=entry.name)
-            return {"created": entry.name, "index_id": entry.index_id,
-                    "quota": entry.quota.as_dict()}
-        if op == "drop":
-            entry = self._catalog.drop(payload.get("name"))
-            if self._state is not None:
-                # Journal before the broadcast: once any worker stops
-                # answering for this entry the drop must be durable.
-                self._state.record_drop(entry.name)
-            pub = self._pubs.pop(entry.name, None)
-            for handle in self._handles:
-                if handle.conn is not None and handle.alive:
-                    try:
-                        handle.conn.send(("catalog_drop", entry.name))
-                    except (BrokenPipeError, OSError):
-                        pass
+        old = None
+        if m.op == "install":
+            if m.generation is None:
+                m.generation = m.entry.generation + 1
+            old = self._segments.get(m.name)
+            self._segments[m.name] = publish_index(
+                m.index, name=self._segment_name(m.entry.index_id,
+                                                 m.generation))
+        entry = self._mutator.commit(m)
+        doc = self._mutator.reply(m)
+        if m.op == "drop":
             # Workers attach at spawn/swap time only, so the segment
-            # can be unlinked as soon as the drop is broadcast —
-            # already-attached mappings stay valid until process exit.
-            if pub is not None and pub.published is not None:
-                pub.published.unlink()
-            self.flight.record("catalog", op="drop", index=entry.name)
-            return {"dropped": entry.name, "index_id": entry.index_id}
-        if op == "quota":
-            entry = self._catalog.lookup(payload.get("name"))
-            quota = TenantQuota.from_payload(payload.get("quota"))
-            if self._state is not None \
-                    and entry.index_id != DEFAULT_INDEX_ID:
-                # Journal before the in-memory apply and the
-                # broadcast: an acked quota must survive a restart.
-                self._state.record_quota(entry.name, quota.as_dict())
-            self._catalog.update_quota(entry, quota)
-            self.flight.record("catalog", op="quota",
-                               index=entry.name)
-            for handle in self._handles:
-                if handle.conn is not None and handle.alive:
-                    try:
-                        handle.conn.send(("catalog_quota", entry.name,
-                                          quota.as_dict()))
-                    except (BrokenPipeError, OSError):
-                        pass
-            return {"updated": entry.name, "index_id": entry.index_id,
-                    "quota": quota.as_dict()}
-        if op in ("build", "load"):
-            entry = self._catalog.lookup(payload.get("name"))
-            if entry.index_id == DEFAULT_INDEX_ID:
-                raise ProtocolError(
-                    protocol.ERR_BAD_REQUEST,
-                    "use the reload verb for the default index")
-            field_name = "graph" if op == "build" else "index"
-            source = payload.get(field_name)
-            if not isinstance(source, str) or not source:
-                raise ProtocolError(
-                    protocol.ERR_BAD_REQUEST,
-                    f"catalog {op} requires a {field_name!r} path")
-            swap_payload: dict[str, Any] = {field_name: source}
-            if "scheme" in payload:
-                swap_payload["scheme"] = payload["scheme"]
-            return self._swap(entry, swap_payload)
-        raise ProtocolError(
-            protocol.ERR_BAD_REQUEST,
-            f"unknown catalog op {op!r}; supported: create, build, "
-            f"load, drop, quota, list")
+            # can be unlinked once the drop is sent — attached copies
+            # stay valid.
+            self._send(("drop", m.name))
+            old = self._segments.pop(m.name, None)
+        else:
+            targets = self._send(("entry", self._row(entry)))
+            if m.op == "install":
+                acked = self._collect_swap_acks(
+                    targets, self._segments[m.name].name)
+                self.swaps += 1
+                doc.update(index_swaps=self.swaps, workers=len(acked))
+        if old is not None:
+            old.unlink()
+        self.flight.record("catalog", op=m.op, index=m.name,
+                           generation=entry.generation)
+        return doc
+
+    def _send(self, message: tuple,
+              handles: list[_WorkerHandle] | None = None
+              ) -> list[_WorkerHandle]:
+        """Send ``message`` over the control pipe to every live worker
+        of ``handles`` (by default the whole fleet); returns those it
+        reached."""
+        sent = []
+        for handle in (self._handles if handles is None else handles):
+            if handle.conn is None or not handle.alive:
+                continue
+            try:
+                handle.conn.send(message)
+            except (BrokenPipeError, OSError):
+                continue  # dying: its sentinel reports the death
+            sent.append(handle)
+        return sent
 
     def _collect_swap_acks(self, targets, segment: str) -> set:
-        """Drain worker pipes until every target acked the new
-        generation (or the swap timeout passes).  Non-ack messages are
-        deferred for the monitor loop."""
+        """Drain worker pipes until every target answered ``segment``
+        (or the swap timeout passes), then kill each target that does
+        not serve it: the supervisor respawns it onto the new
+        generation.  Other messages are deferred for the monitor
+        loop."""
         acked: set[_WorkerHandle] = set()
+        answered: set[_WorkerHandle] = set()
         deadline = time.monotonic() + self._swap_timeout
-        while len(acked) < len(targets):
+        while len(answered) < len(targets):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             for event in self._poll_control(remaining):
-                if event[0] != "msg":
-                    self._deferred.append(event)
-                    continue
-                handle, message = event[1], event[2]
-                if message[0] == "swap_ok" and message[2] == segment:
-                    acked.add(handle)
-                elif message[0] == "swap_err" \
-                        and message[2] == segment:
-                    targets = [t for t in targets if t is not handle]
-                    if handle.process is not None:
-                        handle.process.kill()
+                message = event[2] if event[0] == "msg" else ("",)
+                if message[0] == "swapped" and message[2] == segment:
+                    answered.add(event[1])
+                    if message[3] is None:
+                        acked.add(event[1])
                 else:
                     self._deferred.append(event)
+        for handle in targets:
+            if handle not in acked and handle.alive:
+                handle.process.kill()
         return acked
 
     # -- fleet-wide metrics scrape --------------------------------------
@@ -1033,14 +807,10 @@ class WorkerFleet:
                 if not self._scrape_requests:
                     return
                 job = self._scrape_requests.popleft()
-            targets = [h for h in self._handles
-                       if h.ready and h.alive and h.conn is not None]
-            for handle in targets:
-                try:
-                    handle.conn.send(("scrape", job.token))
-                except (BrokenPipeError, OSError):
-                    continue
-                job.expected.add(handle.worker_id)
+            ready = [h for h in self._handles if h.ready]
+            job.expected.update(
+                h.worker_id for h in self._send(("scrape", job.token),
+                                                ready))
             if not job.expected:
                 job.event.set()
             else:
@@ -1115,7 +885,7 @@ class WorkerFleet:
                 {"name": entry.name, "index_id": entry.index_id,
                  "scheme": entry.scheme,
                  "generation": entry.generation,
-                 "segment": self._pubs[entry.name].segment}
+                 "segment": self._row(entry).segment}
                 for entry in self._catalog.entries()
                 if entry.index_id != DEFAULT_INDEX_ID],
         }

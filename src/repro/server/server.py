@@ -61,8 +61,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.service import QueryService
-from repro.exceptions import (IndexBudgetExceeded, QueryError,
-                              ReproError)
+from repro.exceptions import QueryError, ReproError
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import RECOVERY_BUCKETS, MetricsRegistry
 from repro.obs.phases import PhaseProfiler
@@ -74,7 +73,8 @@ from repro.server import binproto, protocol
 from repro.server.batcher import MicroBatcher, OverloadedError
 from repro.server.protocol import ProtocolError, Request
 from repro.server.tenancy import (DEFAULT_INDEX_ID, CatalogEntry,
-                                  CatalogService, TenantQuota)
+                                  CatalogMutator, CatalogService,
+                                  EntryRow)
 
 __all__ = ["ReachServer", "ServerConfig", "ServerMetrics",
            "ServerThread", "Supervisor"]
@@ -156,20 +156,13 @@ class ServerConfig:
     #: aggregated scrape still attributes queue depth and stage
     #: latency per worker.  ``None`` (standalone server) adds nothing.
     worker_label: str | None = None
-    #: Optional async callable ``(payload) -> summary dict`` replacing
-    #: the in-process ``reload`` implementation.  A fleet worker
-    #: installs a delegate here that forwards the request to the
-    #: parent, which rebuilds once, publishes a new shared-memory
-    #: generation, and moves every worker together — see
-    #: :mod:`repro.server.worker`.
-    reload_handler: Any = None
-    #: Optional async callable ``(payload) -> result dict`` replacing
-    #: the in-process implementation of *mutating* ``catalog`` verbs
-    #: (``create``/``build``/``load``/``drop``; ``list`` always
-    #: answers locally).  A fleet worker forwards mutations to the
-    #: parent, which publishes per-index shared-memory segments and
-    #: moves every worker's catalog together.
-    catalog_handler: Any = None
+    #: Optional async callable ``(verb, payload) -> result dict``
+    #: replacing this process's catalog mutation path for ``reload``
+    #: and the mutating ``catalog`` ops (``list`` always answers
+    #: locally).  A fleet worker forwards them to the parent, which
+    #: runs the shared path once and moves every worker together —
+    #: see :mod:`repro.server.worker`.
+    mutation_delegate: Any = None
     #: Optional :class:`~repro.server.durability.DurableState` giving
     #: the catalog crash-durable semantics (``serve --state-dir``).
     #: Must be recovered before the server starts; every catalog
@@ -528,6 +521,8 @@ class ReachServer:
                                      label=label)
         #: Durable-state subsystem (``--state-dir``), or ``None``.
         self._state = self._config.state
+        #: The catalog mutation path shared with the worker fleet.
+        self._mutator = CatalogMutator(self._catalog, self._state)
         recovery_seconds = (self._state.recovery_seconds
                             if self._state is not None
                             else self._config.recovery_seconds)
@@ -1069,8 +1064,6 @@ class ReachServer:
             return exc.code, exc.message
         if isinstance(exc, OverloadedError):
             return protocol.ERR_OVERLOADED, str(exc)
-        if isinstance(exc, IndexBudgetExceeded):
-            return protocol.ERR_RELOAD_FAILED, str(exc)
         if isinstance(exc, QueryError):
             return protocol.ERR_UNKNOWN_NODE, str(exc)
         if isinstance(exc, asyncio.TimeoutError):
@@ -1261,7 +1254,7 @@ class ReachServer:
             return self.metrics_snapshot(
                 reset=bool(request.payload.get("reset"))), 0, None
         if verb == "reload":
-            return await self._reload(request.payload), 0, None
+            return await self._mutate("reload", request.payload), 0, None
         if verb == "catalog":
             return await self._catalog_op(request.payload), 0, None
         if verb == "slo":
@@ -1427,33 +1420,48 @@ class ReachServer:
     # -- hot index swap -------------------------------------------------
     def install(self, entry: CatalogEntry, service: QueryService, *,
                 scheme: str | None = None,
-                label_bytes: int | None = None) -> None:
+                label_bytes: int | None = None,
+                generation: int | None = None) -> None:
         """Atomically swap ``entry``'s serving backend to ``service``.
 
         The one generation-swap primitive for every index: ``reload``
-        (of entry 0 or a named entry), ``catalog build``/``load`` and
-        the fleet worker's parent-commanded swaps all land here.  Every
-        micro-batch flush snapshots the service it answers from, so
-        in-flight flushes finish on the old generation and later
-        flushes see the new one — never a mix.  The replaced service
-        is let go, not closed: it owns only memory, freed once its last
-        flush returns.  A swap of the default index ends degraded mode.
+        (of entry 0 or a named entry), ``catalog build``/``load``, boot
+        rows and the fleet worker's parent-commanded swaps all land
+        here.  Every micro-batch flush snapshots the service it answers
+        from, so in-flight flushes finish on the old generation and
+        later flushes see the new one — never a mix.  The replaced
+        service is let go, not closed: it owns only memory, freed once
+        its last flush returns.  A swap of the default index ends
+        degraded mode.
         """
         self._catalog.install(entry, service, scheme=scheme,
-                              label_bytes=label_bytes)
+                              label_bytes=label_bytes,
+                              generation=generation)
         if entry.index_id == DEFAULT_INDEX_ID:
             self._degraded = None
         self.stats.swap()
 
-    async def drop_tenant(self, name: str) -> CatalogEntry:
-        """Drop a named catalog entry and drain its lanes.
+    def adopt(self, row: EntryRow) -> CatalogEntry:
+        """Register one boot row (entry 0 first) and serve its index.
 
-        The programmatic twin of the ``catalog drop`` verb — used by
-        the fleet worker's parent-commanded drop.
+        Call before :meth:`start`: restored rows resume their durable
+        generation, new ones run the create and install mutations (see
+        :meth:`~repro.server.tenancy.CatalogMutator.adopt`).
         """
+        row = self._mutator.adopt(row)
+        entry = self._catalog.lookup(row.name)
+        if row.index is not None:
+            self._catalog.install(entry, QueryService(row.index),
+                                  scheme=row.scheme,
+                                  label_bytes=row.label_bytes,
+                                  generation=row.generation)
+        return entry
+
+    async def drop_tenant(self, name: str) -> CatalogEntry:
+        """Drop a named catalog entry and drain its lanes — the fleet
+        worker's parent-commanded drop (already journaled there)."""
         entry = self._catalog.drop(name)
         await self._retire_entry(entry)
-        self.slo.drop(entry.name)
         return entry
 
     def note_degraded(self, reason: str) -> None:
@@ -1469,244 +1477,63 @@ class ReachServer:
         if entering:
             self.flight.dump(reason="degraded")
 
-    async def _reload(self, payload: dict) -> dict:
-        if self._config.reload_handler is not None:
-            # Fleet mode: the parent rebuilds once and swaps every
-            # worker via install; this process only forwards.
-            try:
-                return await self._config.reload_handler(payload)
-            except ProtocolError:
-                raise
-            except (ReproError, OSError) as exc:
-                self.note_degraded(f"{type(exc).__name__}: {exc}")
-                raise ProtocolError(protocol.ERR_RELOAD_FAILED,
-                                    str(exc)) from None
-        # An optional ``name`` field targets a catalog entry; absent
-        # (or "default") reloads entry 0.  The ``index`` field stays
-        # the saved-index *path*, as it always was.
-        entry = self._catalog.lookup(payload.get("name"))
-        graph_path = payload.get("graph")
-        index_path = payload.get("index")
-        if bool(graph_path) == bool(index_path):
-            raise ProtocolError(
-                protocol.ERR_BAD_REQUEST,
-                "reload requires exactly one of 'graph' or 'index'")
-        scheme = payload.get("scheme", entry.scheme)
-        if not isinstance(scheme, str):
-            raise ProtocolError(protocol.ERR_BAD_REQUEST,
-                                "scheme must be a string")
+    async def _mutate(self, verb: str, payload: dict) -> dict:
+        """``reload`` and the mutating ``catalog`` ops.
 
-        def rebuild():
-            from repro.core.base import build_index
-            from repro.core.serialize import load_dual_index
-            from repro.graph.io import read_edge_list
-
-            started = time.perf_counter()
-            if index_path:
-                index = load_dual_index(index_path)
-            else:
-                index = build_index(read_edge_list(graph_path),
-                                    scheme=scheme)
-            return index, time.perf_counter() - started
-
-        assert self._loop is not None and self._reload_executor is not None
-        try:
-            index, seconds = await self._loop.run_in_executor(
-                self._reload_executor, rebuild)
-        except (ReproError, OSError) as exc:
-            # Degraded mode: keep serving the last good index and say
-            # so — a failed swap must never take the service down.  A
-            # failed *tenant* reload degrades only that entry's answer
-            # (it keeps its last good index), never the whole server.
-            if entry.index_id == DEFAULT_INDEX_ID:
-                self.note_degraded(f"{type(exc).__name__}: {exc}")
-            raise ProtocolError(protocol.ERR_RELOAD_FAILED,
-                                str(exc)) from None
-        scheme_name = type(index).scheme_name or scheme
-        # Admission (budget) runs before the durable commit: an
-        # over-budget index must never reach the journal.
-        label = self._catalog.check_budget(entry, index)
-        if self._state is not None:
-            await self._persist_install(entry, index, scheme_name,
-                                        label)
-        new_service = QueryService(index)
-        if self._config.service_wrapper is not None:
-            new_service = self._config.service_wrapper(new_service)
-        self.install(entry, new_service, scheme=scheme_name,
-                     label_bytes=label)
-        stats = index.stats()
-        for phase, phase_secs in stats.phase_seconds.items():
-            self._build_phases.record(phase, phase_secs)
-        return {
-            "swapped": True,
-            "index_name": entry.name,
-            "generation": entry.generation,
-            "scheme": entry.scheme,
-            "source": "index" if index_path else "graph",
-            "nodes": stats.num_nodes,
-            "edges": stats.num_edges,
-            "build_seconds": seconds,
-            "phase_seconds": dict(stats.phase_seconds),
-            "index_swaps": self.stats.swaps,
-        }
-
-    async def _persist_install(self, entry: CatalogEntry, index,
-                               scheme_name: str, label: int) -> None:
-        """Make a freshly built generation durable *before* it serves.
-
-        Runs on the reload executor (artifact write + fsync can take
-        a while on big indexes): save the new generation's artifact,
-        then append+fsync the journal ``install`` record — the commit
-        point.  Only after this returns does the in-memory install
-        happen and the client get its acknowledgement, so an acked
-        swap survives any crash; a crash *before* the journal fsync
-        leaves an unreferenced artifact that recovery GCs.
+        The shared :class:`~repro.server.tenancy.CatalogMutator` path
+        (validate, build or load, budget, journal, apply), then this
+        process's serving step: install a local service, or drain a
+        dropped entry's lanes.  An install's build, budget check and
+        durable commit share one hop to the reload executor, so a
+        rebuild never sits in front of query flushes.  A failed install
+        of entry 0 degrades the server; it keeps answering from the
+        last good index.  A fleet worker hands the request to its
+        ``mutation_delegate`` instead.
         """
-        state = self._state
-        name = entry.name
-        index_id = entry.index_id
-
-        def persist() -> None:
-            generation = state.next_generation(name)
-            artifact = state.save_index(index, name, generation)
-            state.record_install(
-                name, index_id=index_id, scheme=scheme_name,
-                generation=generation, label_bytes=label,
-                artifact=artifact)
-
-        assert self._loop is not None \
-            and self._reload_executor is not None
+        if self._config.mutation_delegate is not None:
+            return await self._config.mutation_delegate(verb, payload)
+        mutator = self._mutator
+        m = mutator.parse(verb, payload)
         try:
-            await self._loop.run_in_executor(self._reload_executor,
-                                             persist)
-        except (ReproError, OSError) as exc:
-            # A generation that cannot be made durable must not serve:
-            # the swap is refused and the last good index keeps
-            # answering (degraded when it was the default's swap).
-            if index_id == DEFAULT_INDEX_ID:
-                self._degraded = f"{type(exc).__name__}: {exc}"
-            raise ProtocolError(
-                protocol.ERR_RELOAD_FAILED,
-                f"durable persist failed: {exc}") from None
+            if m.op == "install":
+                await self._loop.run_in_executor(self._reload_executor,
+                                                 mutator.prepare, m)
+            else:
+                mutator.prepare(m)
+        except ProtocolError as exc:
+            if m.on_default:
+                self.note_degraded(exc.message)
+            raise
+        if m.op == "install":
+            service = QueryService(m.index)
+            if self._config.service_wrapper is not None:
+                service = self._config.service_wrapper(service)
+            self.install(m.entry, service, scheme=m.scheme,
+                         label_bytes=m.label_bytes, generation=m.generation)
+        else:
+            mutator.commit(m)
+            if m.op == "drop":
+                await self._retire_entry(m.entry)
+        self.flight.record("catalog", op=m.op, index=m.name)
+        doc = mutator.reply(m)
+        if m.op == "install":
+            for phase, seconds in doc["phase_seconds"].items():
+                self._build_phases.record(phase, seconds)
+            doc["index_swaps"] = self.stats.swaps
+        return doc
 
     # -- catalog verbs --------------------------------------------------
     async def _catalog_op(self, payload: dict) -> Any:
         """Serve one ``catalog`` request (op shapes documented in
-        :mod:`repro.server.tenancy`).
-
-        ``list`` always answers from the local catalog; mutations
-        (``create``/``build``/``load``/``drop``/``quota``) go through
-        the fleet delegate when one is configured, so every worker's
-        catalog moves together.
-        """
-        op = payload.get("op")
-        if not isinstance(op, str):
-            raise ProtocolError(protocol.ERR_BAD_REQUEST,
-                                "catalog requires an 'op' field")
-        if op == "list":
+        :mod:`repro.server.tenancy`): ``list`` answers from the local
+        catalog, every other op is a mutation."""
+        if payload.get("op") == "list":
             return {"indexes": self._catalog.describe()}
-        if op not in ("create", "build", "load", "drop", "quota"):
-            raise ProtocolError(
-                protocol.ERR_BAD_REQUEST,
-                f"unknown catalog op {op!r}; supported: create, build, "
-                f"load, drop, quota, list")
-        if self._config.catalog_handler is not None:
-            try:
-                return await self._config.catalog_handler(payload)
-            except ProtocolError:
-                raise
-            except (ReproError, OSError) as exc:
-                raise ProtocolError(protocol.ERR_RELOAD_FAILED,
-                                    str(exc)) from None
-        if op == "create":
-            quota = TenantQuota.from_payload(payload.get("quota"))
-            scheme = payload.get("scheme", self._catalog.default.scheme)
-            if not isinstance(scheme, str):
-                raise ProtocolError(protocol.ERR_BAD_REQUEST,
-                                    "scheme must be a string")
-            entry = self._catalog.create(payload.get("name"),
-                                         scheme=scheme, quota=quota)
-            if self._state is not None:
-                try:
-                    self._state.record_create(
-                        entry.name, index_id=entry.index_id,
-                        scheme=scheme, quota=quota.as_dict())
-                except (ReproError, OSError) as exc:
-                    # Undo before replying: a create that never became
-                    # durable must not exist anywhere.
-                    self._catalog.drop(entry.name)
-                    raise ProtocolError(
-                        protocol.ERR_RELOAD_FAILED,
-                        f"durable journal append failed: {exc}"
-                    ) from None
-            self.flight.record("catalog", op="create",
-                               index=entry.name)
-            return {"created": entry.name, "index_id": entry.index_id,
-                    "quota": entry.quota.as_dict()}
-        if op == "quota":
-            entry = self._catalog.lookup(payload.get("name"))
-            quota = TenantQuota.from_payload(payload.get("quota"))
-            if self._state is not None \
-                    and entry.index_id != DEFAULT_INDEX_ID:
-                # Journal + fsync *before* the in-memory apply, like
-                # create: an acked quota change must survive a crash.
-                # (The default entry is not a journaled catalog row,
-                # so its quota stays runtime-only.)
-                try:
-                    self._state.record_quota(entry.name,
-                                             quota.as_dict())
-                except (ReproError, OSError) as exc:
-                    raise ProtocolError(
-                        protocol.ERR_RELOAD_FAILED,
-                        f"durable journal append failed: {exc}"
-                    ) from None
-            self._catalog.update_quota(entry, quota)
-            self.flight.record("catalog", op="quota",
-                               index=entry.name)
-            return {"updated": entry.name, "index_id": entry.index_id,
-                    "quota": quota.as_dict()}
-        if op == "drop":
-            entry = self._catalog.drop(payload.get("name"))
-            if self._state is not None:
-                # Journal after the in-memory drop (which did the
-                # validation); a journal-append failure here leaves
-                # the entry durable, so a restart resurrects it — the
-                # error reply tells the operator the drop did not
-                # commit.
-                try:
-                    self._state.record_drop(entry.name)
-                except (ReproError, OSError) as exc:
-                    await self._retire_entry(entry)
-                    raise ProtocolError(
-                        protocol.ERR_RELOAD_FAILED,
-                        f"durable journal append failed: {exc}"
-                    ) from None
-            await self._retire_entry(entry)
-            self.slo.drop(entry.name)
-            self.flight.record("catalog", op="drop", index=entry.name)
-            return {"dropped": entry.name, "index_id": entry.index_id}
-        # build / load: install an index into an existing named entry
-        # (the tenant twin of ``reload``, which owns the machinery).
-        entry = self._catalog.lookup(payload.get("name"))
-        if entry.index_id == DEFAULT_INDEX_ID:
-            raise ProtocolError(
-                protocol.ERR_BAD_REQUEST,
-                "use the reload verb for the default index")
-        field_name = "graph" if op == "build" else "index"
-        source = payload.get(field_name)
-        if not isinstance(source, str) or not source:
-            raise ProtocolError(
-                protocol.ERR_BAD_REQUEST,
-                f"catalog {op} requires a {field_name!r} path")
-        reload_payload: dict[str, Any] = {"name": entry.name,
-                                          field_name: source}
-        if "scheme" in payload:
-            reload_payload["scheme"] = payload["scheme"]
-        return await self._reload(reload_payload)
+        return await self._mutate("catalog", payload)
 
     async def _retire_entry(self, entry: CatalogEntry) -> None:
         """Drain a dropped entry: close its lanes, let go of its
-        service.
+        service, forget its SLO.
 
         Closing the lanes flushes everything already enqueued (those
         queries answer from the entry's per-flush service snapshot) and
@@ -1717,6 +1544,7 @@ class ReachServer:
         entry.batcher = None
         entry.lane = None
         entry.service = None
+        self.slo.drop(entry.name)
 
     # -- Prometheus HTTP scrape endpoint --------------------------------
     async def _handle_metrics_http(self, reader: asyncio.StreamReader,

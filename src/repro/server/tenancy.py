@@ -40,6 +40,12 @@ runtime (journaled through the durable state layer when one is
 configured, so the limits survive a restart); ``drop`` removes it
 (in-flight queries finish against the replaced service).  Unknown
 names answer with the ``unknown_index`` error code.
+
+Every mutation — those ops, ``reload``, and the registration of boot
+rows — runs through :class:`CatalogMutator`, the one implementation
+the single server and the worker fleet share: validate, build or
+load, check the label budget, journal, then apply.  The two targets
+differ only in how a new generation reaches serving code.
 """
 
 from __future__ import annotations
@@ -49,11 +55,15 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+from repro.core.base import available_schemes, build_index
+from repro.core.serialize import load_dual_index
 from repro.core.service import QueryService
-from repro.exceptions import IndexBudgetExceeded
+from repro.exceptions import IndexBudgetExceeded, ReproError
+from repro.graph.io import read_edge_list
 from repro.server.batcher import OverloadedError
 from repro.server.protocol import (
     ERR_BAD_REQUEST,
+    ERR_RELOAD_FAILED,
     ERR_UNKNOWN_INDEX,
     ProtocolError,
 )
@@ -63,8 +73,12 @@ __all__ = [
     "DEFAULT_INDEX_ID",
     "MAX_INDEX_ID",
     "CatalogEntry",
+    "CatalogMutator",
     "CatalogService",
+    "EntryRow",
+    "Mutation",
     "TenantQuota",
+    "index_label_bytes",
 ]
 
 #: Name and id of the entry every index-less request serves from.
@@ -145,6 +159,30 @@ class TenantQuota:
         return cls(**values)
 
 
+@dataclass
+class EntryRow:
+    """One catalog entry as it travels: restored at boot, named by a
+    ``serve --tenant`` flag, listed in a fleet worker's spawn manifest,
+    or sent to every worker after a mutation.
+
+    A generation reaches serving code either as ``index`` (a built
+    index, in this process) or as ``segment`` (the ``/dev/shm`` segment
+    a fleet worker attaches); a row with neither is registered but
+    empty.  Rows sent to a worker never carry ``index``.
+    """
+
+    name: str
+    #: ``None`` for a new entry: the catalog allocates the id.
+    index_id: int | None = None
+    scheme: str = "dual-i"
+    generation: int = 0
+    #: :meth:`TenantQuota.as_dict` form; ``None`` = unlimited.
+    quota: dict | None = None
+    label_bytes: int = 0
+    segment: str | None = None
+    index: Any = None
+
+
 class CatalogEntry:
     """One named index: service, generation, quota, and admission state.
 
@@ -180,14 +218,17 @@ class CatalogEntry:
         # the entry's first query so idle tenants cost nothing.
         self.batcher = None
         self.lane = None
-        quota_rate = self.quota.rate
-        self._tokens = (float(self.quota.burst)
-                        if self.quota.burst is not None
-                        else max(1.0, 2.0 * quota_rate)
-                        if quota_rate is not None else 0.0)
-        self._token_stamp = time.monotonic()
+        self.refill()
 
     # -- admission ------------------------------------------------------
+    def refill(self) -> None:
+        """Fill the token bucket to the quota's burst depth."""
+        quota = self.quota
+        self._tokens = (float(quota.burst) if quota.burst is not None
+                        else max(1.0, 2.0 * quota.rate)
+                        if quota.rate is not None else 0.0)
+        self._token_stamp = time.monotonic()
+
     def admit(self, num_pairs: int) -> None:
         """Admit one request of ``num_pairs`` pairs, or shed it.
 
@@ -250,12 +291,20 @@ class CatalogEntry:
             "pending_pairs": self.pending_pairs,
         }
 
+    def row(self, segment: str | None = None) -> EntryRow:
+        """This entry as a row (``segment`` names its live
+        generation's ``/dev/shm`` segment in a fleet)."""
+        return EntryRow(self.name, self.index_id, self.scheme,
+                        self.generation, self.quota.as_dict(),
+                        self.label_bytes, segment)
 
-def _index_label_bytes(index: Any) -> int:
-    """Logical label footprint of an index (0 when unreported)."""
+
+def index_label_bytes(index: Any) -> int:
+    """Logical label footprint of an index, the measure the label
+    budget and the durable metadata use (0 when unreported)."""
     try:
         return int(index.stats().total_space_bytes)
-    except Exception:
+    except (ReproError, AttributeError, TypeError, ValueError):
         return 0
 
 
@@ -276,7 +325,7 @@ class CatalogService:
         default = CatalogEntry(
             DEFAULT_INDEX, DEFAULT_INDEX_ID, scheme=scheme,
             service=default_service, quota=quota,
-            label_bytes=(_index_label_bytes(default_service.index)
+            label_bytes=(index_label_bytes(default_service.index)
                          if default_service is not None else 0))
         self._by_name: dict[str, CatalogEntry] = {DEFAULT_INDEX: default}
         self._by_id: dict[int, CatalogEntry] = {DEFAULT_INDEX_ID: default}
@@ -374,6 +423,22 @@ class CatalogService:
             ``bad_request`` on invalid/duplicate names or exhausted
             index-id space.
         """
+        index_id = self.check_new(name, index_id)
+        entry = CatalogEntry(name, index_id, scheme=scheme, quota=quota)
+        self._by_name[name] = entry
+        self._by_id[index_id] = entry
+        self._next_id = max(self._next_id, index_id + 1)
+        return entry
+
+    def check_new(self, name: Any, index_id: int | None = None) -> int:
+        """Validate a new entry's name and id without registering it;
+        returns the id :meth:`create` would give it.
+
+        Raises
+        ------
+        ProtocolError
+            As :meth:`create`.
+        """
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise ProtocolError(
                 ERR_BAD_REQUEST,
@@ -391,10 +456,22 @@ class CatalogService:
             raise ProtocolError(
                 ERR_BAD_REQUEST,
                 f"index id space exhausted (max {MAX_INDEX_ID})")
-        entry = CatalogEntry(name, index_id, scheme=scheme, quota=quota)
-        self._by_name[name] = entry
-        self._by_id[index_id] = entry
-        self._next_id = max(self._next_id, index_id + 1)
+        return index_id
+
+    def register(self, row: EntryRow) -> CatalogEntry:
+        """The entry of ``row``, created on first sight (entry 0 always
+        exists), with the row's scheme, quota, label bytes and
+        generation — how a restored or mirrored entry resumes."""
+        quota = TenantQuota.from_payload(row.quota)
+        entry = self._by_name.get(row.name)
+        if entry is None:
+            entry = self.create(row.name, scheme=row.scheme, quota=quota,
+                                index_id=row.index_id)
+        else:
+            self.update_quota(entry, quota)
+            entry.scheme = row.scheme
+        entry.label_bytes = row.label_bytes
+        entry.generation = row.generation
         return entry
 
     def check_budget(self, entry: CatalogEntry, index: Any) -> int:
@@ -406,30 +483,34 @@ class CatalogService:
             When the footprint exceeds the entry's
             ``max_label_bytes``.
         """
-        label_bytes = _index_label_bytes(index)
+        label_bytes = index_label_bytes(index)
         budget = entry.quota.max_label_bytes
         if budget is not None and label_bytes > budget:
             raise IndexBudgetExceeded(entry.name, label_bytes, budget)
         return label_bytes
 
-    def install(self, entry: CatalogEntry, service: QueryService, *,
-                scheme: str | None = None,
-                label_bytes: int | None = None
+    def install(self, entry: CatalogEntry, service: QueryService | None,
+                *, scheme: str | None = None,
+                label_bytes: int | None = None,
+                generation: int | None = None
                 ) -> QueryService | None:
         """Swap ``service`` into ``entry``; returns the replaced one.
 
-        In-flight flushes keep their own snapshot of the replaced
-        service, which is freed once they return.  Budget enforcement
-        happens in :meth:`check_budget` *before* the expensive build —
-        this method never fails.
+        ``generation`` defaults to the next one.  In-flight flushes
+        keep their own snapshot of the replaced service, which is freed
+        once they return.  Budget enforcement happens in
+        :meth:`check_budget` *before* the expensive build — this method
+        never fails.  The fleet parent, which never serves, installs
+        ``None`` and keeps only the metadata.
         """
         old = entry.service
         entry.service = service
         if scheme is not None:
             entry.scheme = scheme
         entry.label_bytes = (label_bytes if label_bytes is not None
-                             else _index_label_bytes(service.index))
-        entry.generation += 1
+                             else index_label_bytes(service.index))
+        entry.generation = (generation if generation is not None
+                            else entry.generation + 1)
         return old
 
     def update_quota(self, entry: CatalogEntry,
@@ -443,12 +524,7 @@ class CatalogService:
         """
         old = entry.quota
         entry.quota = quota
-        quota_rate = quota.rate
-        entry._tokens = (float(quota.burst)
-                         if quota.burst is not None
-                         else max(1.0, 2.0 * quota_rate)
-                         if quota_rate is not None else 0.0)
-        entry._token_stamp = time.monotonic()
+        entry.refill()
         return old
 
     def drop(self, name: Any) -> CatalogEntry:
@@ -513,3 +589,260 @@ class CatalogService:
                    "Hot-swap generation per index.",
                    lambda e: e.generation),
         ]
+
+
+#: ``catalog`` ops that change the catalog (``list`` only reads it).
+MUTATING_OPS = ("create", "build", "load", "quota", "drop")
+
+
+def _scheme(payload: dict, default: str) -> str:
+    """The request's ``scheme`` field, checked against the registry."""
+    scheme = payload.get("scheme", default)
+    if not isinstance(scheme, str):
+        raise ProtocolError(ERR_BAD_REQUEST, "scheme must be a string")
+    if scheme not in available_schemes():
+        raise ProtocolError(
+            ERR_BAD_REQUEST,
+            f"unknown scheme {scheme!r}; available: "
+            f"{', '.join(available_schemes())}")
+    return scheme
+
+
+@dataclass
+class Mutation:
+    """One validated catalog mutation, filled in as it runs.
+
+    ``op`` is ``create``, ``quota``, ``drop`` or ``install`` (a
+    ``reload`` or a ``catalog build``/``load``).
+    """
+
+    op: str
+    name: str
+    entry: CatalogEntry | None = None
+    scheme: str = "dual-i"
+    quota: TenantQuota | None = None
+    #: ``create`` only: the id :meth:`CatalogService.check_new` gave.
+    index_id: int | None = None
+    #: ``install`` only: ``"graph"`` or ``"index"`` and its path, then
+    #: the built index and what :meth:`CatalogMutator.prepare` found.
+    source: str | None = None
+    path: str | None = None
+    index: Any = None
+    label_bytes: int = 0
+    #: The journaled generation; ``None`` without durable state, when
+    #: the install takes the entry's next one.
+    generation: int | None = None
+    build_seconds: float = 0.0
+
+    @property
+    def on_default(self) -> bool:
+        """Whether this targets entry 0, the only entry whose failed
+        install degrades health."""
+        return self.entry is not None \
+            and self.entry.index_id == DEFAULT_INDEX_ID
+
+
+class CatalogMutator:
+    """The one catalog mutation path of the server and the fleet.
+
+    A Dual-I or Dual-II index is built whole and never edited, so every
+    change — ``reload``, ``catalog create/build/load/quota/drop`` and
+    the registration of boot rows — is the same decision, taken here
+    in three steps:
+
+    1. :meth:`parse` validates the request against the catalog
+       (``bad_request``, ``unknown_index``) and changes nothing;
+    2. :meth:`prepare` builds or loads the index, checks the label
+       budget and journals the change (blocking: the server runs an
+       install's on its reload executor); any failure raises
+       ``reload_failed`` and still changes nothing in memory;
+    3. :meth:`commit` applies the change to the catalog.
+
+    The caller then moves serving code — the server installs a local
+    service or drains a dropped entry's lanes; the fleet publishes a
+    ``/dev/shm`` segment and waits for every worker's ack — and answers
+    its client last.
+    """
+
+    def __init__(self, catalog: CatalogService, state: Any = None) -> None:
+        self.catalog = catalog
+        #: Optional :class:`~repro.server.durability.DurableState`:
+        #: every change is journaled (fsynced) before it is applied.
+        self.state = state
+
+    def parse(self, verb: str, payload: dict) -> Mutation:
+        """Validate a ``reload`` or mutating ``catalog`` request.
+
+        Raises
+        ------
+        ProtocolError
+            ``bad_request`` for a malformed request or an unknown
+            scheme, ``unknown_index`` for an unknown entry name.
+        """
+        if verb == "reload":
+            # ``name`` targets an entry (absent: entry 0); ``index``
+            # stays the saved-index *path*, as it always was.
+            entry = self.catalog.lookup(payload.get("name"))
+            if bool(payload.get("graph")) == bool(payload.get("index")):
+                raise ProtocolError(
+                    ERR_BAD_REQUEST,
+                    "reload requires exactly one of 'graph' or 'index'")
+            return self._install(
+                entry, "graph" if payload.get("graph") else "index",
+                payload)
+        op = payload.get("op")
+        if op not in MUTATING_OPS:
+            raise ProtocolError(
+                ERR_BAD_REQUEST,
+                f"unknown catalog op {op!r}; supported: create, build, "
+                f"load, drop, quota, list")
+        if op == "create":
+            quota = TenantQuota.from_payload(payload.get("quota"))
+            scheme = _scheme(payload, self.catalog.default.scheme)
+            name = payload.get("name")
+            return Mutation("create", name, scheme=scheme, quota=quota,
+                            index_id=self.catalog.check_new(name))
+        entry = self.catalog.lookup(payload.get("name"))
+        if op == "quota":
+            return Mutation(
+                "quota", entry.name, entry=entry,
+                quota=TenantQuota.from_payload(payload.get("quota")))
+        if entry.index_id == DEFAULT_INDEX_ID:
+            raise ProtocolError(
+                ERR_BAD_REQUEST,
+                "the default index cannot be dropped" if op == "drop"
+                else "use the reload verb for the default index")
+        if op == "drop":
+            return Mutation("drop", entry.name, entry=entry)
+        return self._install(entry, "graph" if op == "build" else "index",
+                             payload)
+
+    @staticmethod
+    def _install(entry: CatalogEntry, source: str,
+                 payload: dict) -> Mutation:
+        path = payload.get(source)
+        if not isinstance(path, str) or not path:
+            raise ProtocolError(ERR_BAD_REQUEST,
+                                f"{source!r} must be a file path")
+        return Mutation("install", entry.name, entry=entry, source=source,
+                        path=path, scheme=_scheme(payload, entry.scheme))
+
+    def prepare(self, m: Mutation) -> None:
+        """Build or load ``m``'s index, check its budget, journal ``m``.
+
+        Blocking (index I/O, fsync).  The journal record is the commit
+        point: an install's artifact is saved before its fsynced
+        record, and nothing in memory changes until :meth:`commit`.
+
+        Raises
+        ------
+        ProtocolError
+            ``reload_failed`` on a build, load, budget or journal
+            failure.
+        """
+        try:
+            if m.op == "install":
+                if m.index is None:
+                    started = time.perf_counter()
+                    m.index = (load_dual_index(m.path)
+                               if m.source == "index" else
+                               build_index(read_edge_list(m.path),
+                                           scheme=m.scheme))
+                    m.build_seconds = time.perf_counter() - started
+                m.scheme = type(m.index).scheme_name or m.scheme
+                m.label_bytes = self.catalog.check_budget(m.entry, m.index)
+            if self.state is not None:
+                self._journal(m)
+        except (ReproError, OSError) as exc:
+            raise ProtocolError(ERR_RELOAD_FAILED,
+                                f"{type(exc).__name__}: {exc}") from None
+
+    def _journal(self, m: Mutation) -> None:
+        state = self.state
+        if m.op == "install":
+            m.generation = state.commit_install(
+                m.index, m.name, index_id=m.entry.index_id,
+                scheme=m.scheme, label_bytes=m.label_bytes)
+        elif m.op == "create":
+            state.record_create(m.name, index_id=m.index_id,
+                                scheme=m.scheme, quota=m.quota.as_dict())
+        elif m.op == "drop":
+            state.record_drop(m.name)
+        elif not m.on_default:
+            # The default entry is not a journaled catalog row, so its
+            # quota stays runtime-only.
+            state.record_quota(m.name, m.quota.as_dict())
+
+    def commit(self, m: Mutation,
+               service: QueryService | None = None) -> CatalogEntry:
+        """Apply a prepared ``m`` to the catalog; returns its entry.
+
+        ``service`` is an install's local backend (``None`` in the
+        fleet parent, which never serves).
+        """
+        catalog = self.catalog
+        if m.op == "create":
+            m.entry = catalog.create(m.name, scheme=m.scheme,
+                                     quota=m.quota, index_id=m.index_id)
+        elif m.op == "quota":
+            catalog.update_quota(m.entry, m.quota)
+        elif m.op == "drop":
+            catalog.drop(m.name)
+        else:
+            catalog.install(m.entry, service, scheme=m.scheme,
+                            label_bytes=m.label_bytes,
+                            generation=m.generation)
+        return m.entry
+
+    @staticmethod
+    def reply(m: Mutation) -> dict:
+        """The client's result document of a committed ``m``."""
+        entry = m.entry
+        if m.op == "create":
+            return {"created": entry.name, "index_id": entry.index_id,
+                    "quota": entry.quota.as_dict()}
+        if m.op == "quota":
+            return {"updated": entry.name, "index_id": entry.index_id,
+                    "quota": m.quota.as_dict()}
+        if m.op == "drop":
+            return {"dropped": entry.name, "index_id": entry.index_id}
+        stats = m.index.stats()
+        return {
+            "swapped": True,
+            "index_name": entry.name,
+            "generation": entry.generation,
+            "scheme": entry.scheme,
+            "source": m.source,
+            "nodes": stats.num_nodes,
+            "edges": stats.num_edges,
+            "build_seconds": m.build_seconds,
+            "phase_seconds": dict(stats.phase_seconds),
+        }
+
+    def adopt(self, row: EntryRow) -> EntryRow:
+        """Register one boot row; returns it complete.
+
+        A row with an ``index_id`` — entry 0, or an entry restored from
+        durable state — resumes as it is.  A row without one (a
+        ``serve --tenant`` flag, a fleet's startup tenant) is new: it
+        runs the create and install mutations, so it is validated,
+        budget-checked and journaled like a client's request.  The
+        caller serves ``row.index`` at ``row.generation``.
+        """
+        if row.index_id is None:
+            m = self.parse("catalog", {"op": "create", "name": row.name,
+                                       "scheme": row.scheme,
+                                       "quota": row.quota})
+            self.prepare(m)
+            row.index_id = self.commit(m).index_id
+            if row.index is not None:
+                m = Mutation("install", row.name, entry=m.entry,
+                             index=row.index)
+                self.prepare(m)
+                row.scheme, row.label_bytes = m.scheme, m.label_bytes
+                row.generation = (m.generation if m.generation is not None
+                                  else m.entry.generation + 1)
+        elif row.index is not None and not row.label_bytes:
+            row.label_bytes = index_label_bytes(row.index)
+        self.catalog.register(row)
+        return row

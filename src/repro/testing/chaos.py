@@ -82,6 +82,7 @@ from repro.server.client import ReachClient, RetryPolicy, ServerReplyError
 from repro.server.loadgen import run_loadgen, run_loadgen_mix
 from repro.server.router import WorkerFleet
 from repro.server.server import ReachServer, ServerConfig, ServerThread
+from repro.server.tenancy import EntryRow
 from repro.testing.faults import (
     ChaosProxy,
     FaultPlan,
@@ -743,10 +744,10 @@ def run_tenant_isolation_soak(*, seed: int = 0, duration: float = 4.0,
             # shedding.  The rate quota (tokens are per worker) makes
             # the overload deterministic even when the kernel drains
             # pending pairs instantly.
-            {"name": "tenant-a", "index": index_a, "scheme": scheme,
-             "quota": {"rate": 150.0, "burst": 50,
-                       "max_pending": 256}},
-            {"name": "tenant-b", "index": index_b, "scheme": scheme},
+            EntryRow("tenant-a", scheme=scheme, index=index_a,
+                     quota={"rate": 150.0, "burst": 50,
+                            "max_pending": 256}),
+            EntryRow("tenant-b", scheme=scheme, index=index_b),
         ],
         probe_interval=0.25, probe_timeout=1.5)
     fleet.start()

@@ -436,3 +436,37 @@ def test_artifact_names_round_trip():
     for stray in ("default-g3.json", "x.idx.123.tmp", "default-g3.idx"
                   ".corrupt", "default.idx"):
         assert parse_artifact_name(stray) is None
+
+
+def test_failed_default_persist_degrades_with_flight_event(
+        tmp_path, index, monkeypatch):
+    """A reload of entry 0 whose durable commit fails answers
+    ``reload_failed`` and enters degraded mode the one way every other
+    failure does: a ``degraded`` flight event and a dump."""
+    from repro.core.service import QueryService
+    from repro.graph.io import write_edge_list
+    from repro.server.client import ReachClient, ServerReplyError
+    from repro.server.server import ReachServer, ServerConfig, ServerThread
+
+    state = _fresh(tmp_path / "state")
+    graph_path = tmp_path / "next.edges"
+    write_edge_list(gnm_random_digraph(30, 60, seed=8), graph_path)
+
+    def refuse(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(state, "save_index", refuse)
+    server = ReachServer(QueryService(index), config=ServerConfig(
+        state=state, flight_dir=tmp_path / "flight"))
+    with ServerThread(server) as handle, \
+            ReachClient(port=handle.port) as client:
+        with pytest.raises(ServerReplyError) as excinfo:
+            client.reload(graph=graph_path)
+        assert excinfo.value.code == "reload_failed"
+        assert client.health()["status"] == "degraded"
+        doc = client.flight()
+        assert "degraded" in {event["kind"] for event in doc["events"]}
+        assert doc["dumps"] >= 1
+        # Nothing was journaled: the failed generation never existed.
+        assert state.entry("default") is None
+    state.close()

@@ -29,6 +29,7 @@ from repro.core.shm import list_segments
 from repro.graph.generators import gnm_random_digraph
 from repro.graph.io import write_edge_list
 from repro.server.client import ReachClient, RetryPolicy, ServerReplyError
+from repro.server.durability import DurableState
 from repro.server.router import WorkerFleet
 from tests.test_differential import FAMILIES, SEEDS
 
@@ -241,10 +242,11 @@ class TestSupervision:
             assert client.health()["status"] == "ok"
 
     def test_reload_rejects_ambiguous_source(self, fleet, workdir):
+        # The single server's code for a malformed request.
         with ReachClient(port=fleet.port, timeout=60.0) as client:
             with pytest.raises(ServerReplyError) as excinfo:
                 client.reload()
-            assert excinfo.value.code == "reload_failed"
+            assert excinfo.value.code == "bad_request"
 
 
 class TestFleetTenancy:
@@ -334,6 +336,54 @@ class TestFleetTenancy:
         self._await_both_workers(fleet, serves_tenant)
         with ReachClient(port=fleet.port, timeout=60.0) as client:
             client.catalog("drop", name="ft2")
+
+
+class TestDurableFleet:
+    def test_failed_drop_journal_changes_nothing(self, tmp_path,
+                                                 monkeypatch):
+        """A drop whose journal append fails leaves the parent and
+        every worker with the same catalog: journal first, then apply,
+        so nothing keeps serving an entry the parent forgot."""
+        graph = gnm_random_digraph(30, 60, seed=51)
+        path = tmp_path / "t.edges"
+        write_edge_list(graph, path)
+        state = DurableState(tmp_path / "state")
+        state.recover()
+        before = set(list_segments())
+        fleet = WorkerFleet(
+            build_index(FAMILIES["sparse-dag"](0), scheme="dual-i"),
+            workers=1, state=state, probe_interval=None)
+        fleet.start()
+        try:
+            with ReachClient(port=fleet.port, timeout=60.0) as client:
+                client.catalog("create", name="t")
+                client.catalog("build", name="t", graph=str(path))
+
+                def refuse(name):
+                    raise OSError("no space left on device")
+
+                monkeypatch.setattr(state, "record_drop", refuse)
+                with pytest.raises(ServerReplyError) as excinfo:
+                    client.catalog("drop", name="t")
+                assert excinfo.value.code == "reload_failed"
+                listed = [(row["name"], row["index_id"], row["loaded"])
+                          for row in client.catalog_list()]
+                parent = [(row["name"], row["index_id"])
+                          for row in fleet.describe()["tenants"]]
+                assert listed == [("default", 0, True), ("t", 1, True)]
+                assert [(n, i) for n, i, _ in listed[1:]] == parent
+
+                monkeypatch.undo()
+                client.catalog("drop", name="t")
+                client.catalog("create", name="t")
+                with pytest.raises(ServerReplyError) as excinfo:
+                    client.query_batch([[0, 1]], index="t")
+                assert excinfo.value.code == "unknown_index"
+                assert "no data" in excinfo.value.message
+        finally:
+            fleet.stop()
+            state.close()
+        assert set(list_segments()) <= before, "fleet leaked segments"
 
 
 class TestStartup:

@@ -310,6 +310,10 @@ class TestCatalogVerbs:
                  "bad_request"),
                 (dict(op="load", name="default", index="f"),
                  "bad_request"),
+                # Scheme names are checked against the registry where
+                # the mutation is parsed, not deep inside a build.
+                (dict(op="create", name="t", scheme="nope"),
+                 "bad_request"),
             ]
             for fields, code in cases:
                 with pytest.raises(ServerReplyError) as excinfo:
@@ -317,6 +321,16 @@ class TestCatalogVerbs:
                 assert excinfo.value.code == code, fields
             # A build pointing at a missing file fails cleanly...
             client.catalog("create", name="t")
+            for fields in (dict(op="build", name="t", graph="g",
+                                scheme="nope"),
+                           dict(op="load", name="t", index="f",
+                                scheme="nope")):
+                with pytest.raises(ServerReplyError) as excinfo:
+                    client.catalog(**fields)
+                assert excinfo.value.code == "bad_request", fields
+            with pytest.raises(ServerReplyError) as excinfo:
+                client.reload(graph="g", scheme="nope")
+            assert excinfo.value.code == "bad_request"
             with pytest.raises(ServerReplyError) as excinfo:
                 client.catalog("build", name="t", graph="/nope/missing")
             assert excinfo.value.code == "reload_failed"
