@@ -78,6 +78,7 @@ from repro.bench.runner import main as bench_main
 from repro.bench.timing import measure_build_time, measure_query_time
 from repro.bench.workloads import random_query_pairs
 from repro.core.base import available_schemes, build_index
+from repro.core.serialize import IMAGE_SCHEMES
 from repro.exceptions import ReproError
 from repro.datasets import dataset_names, load_dataset
 from repro.graph.generators import (
@@ -239,17 +240,25 @@ def _default_index(args: argparse.Namespace) -> tuple:
             args.scheme)
 
 
-def _durable_boot(args: argparse.Namespace):
-    """``serve --state-dir``: recover the catalog before serving.
+def _boot(args: argparse.Namespace):
+    """``serve``'s catalog at start: ``(state, rows)``, one entry row
+    per catalog entry, entry 0 first (``state`` is ``None`` without
+    ``--state-dir``).
 
-    Returns ``(state, rows, degraded_reasons)``: one entry row per
-    catalog entry, entry 0 first.  The default index and every tenant
+    A state dir is recovered first: the default index and every tenant
     come from the last durable generation when one exists; the CLI
     graph/--index arguments are only the *fallback* for a fresh state
     dir (or a quarantined default artifact).  New ``--tenant`` flags
     whose names are not yet durable become new rows, which the server
     or fleet creates and journals so the next start restores them too.
     """
+    if args.state_dir is None:
+        from repro.server.tenancy import (DEFAULT_INDEX, DEFAULT_INDEX_ID,
+                                          EntryRow)
+
+        index, scheme = _default_index(args)
+        return None, [EntryRow(DEFAULT_INDEX, DEFAULT_INDEX_ID, scheme,
+                               index=index), *_tenant_rows(args)]
     from repro.server.durability import DurableState, restore_catalog
 
     state = DurableState(
@@ -269,17 +278,17 @@ def _durable_boot(args: argparse.Namespace):
               flush=True)
     rows = [boot.default, *boot.tenants]
     rows += _tenant_rows(args, {row.name for row in boot.tenants})
-    return state, rows, boot.degraded
+    return state, rows
 
 
-def _serve_obs_options(args: argparse.Namespace) -> tuple:
-    """``serve``: resolve the operations-plane options.
+def _server_options(args: argparse.Namespace) -> dict:
+    """``serve``: the :class:`ServerConfig` keywords the single server
+    and every fleet worker share.
 
-    Returns ``(slo_defaults, flight_dir)``.  The flight directory
-    defaults to ``<state-dir>/flightrec`` so crash dumps live next to
-    the journal they explain; stale ``*-current.jsonl`` files from the
-    previous incarnation are archived (not clobbered) before the new
-    recorder starts.
+    The flight directory defaults to ``<state-dir>/flightrec`` so crash
+    dumps live next to the journal they explain; stale
+    ``*-current.jsonl`` files from the previous incarnation are
+    archived (not clobbered) before the new recorder starts.
     """
     slo_defaults = None
     if args.slo_availability is not None \
@@ -300,65 +309,61 @@ def _serve_obs_options(args: argparse.Namespace) -> tuple:
         for path in archive_current_dumps(str(flight_dir)):
             print(f"flightrec: archived prior dump {path}",
                   file=sys.stderr, flush=True)
-    return slo_defaults, flight_dir
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.server.server import ReachServer, ServerConfig
-    from repro.server.tenancy import DEFAULT_INDEX, DEFAULT_INDEX_ID, EntryRow
-
-    state = None
-    degraded_reasons: list[str] = []
-    if args.state_dir is not None:
-        state, rows, degraded_reasons = _durable_boot(args)
-    else:
-        index, scheme = _default_index(args)
-        rows = [EntryRow(DEFAULT_INDEX, DEFAULT_INDEX_ID, scheme,
-                         index=index), *_tenant_rows(args)]
-    index, scheme, tenants = rows[0].index, rows[0].scheme, rows[1:]
-    slo_defaults, flight_dir = _serve_obs_options(args)
-    if args.workers > 1:
-        return _serve_fleet(args, index, scheme, tenants, state=state,
-                            degraded_reasons=degraded_reasons,
-                            slo_defaults=slo_defaults,
-                            flight_dir=flight_dir)
-    config = ServerConfig(
-        host=args.host, port=args.port, max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0,
+        flight_dir = str(flight_dir)  # fleet workers share it
+    return dict(
+        max_batch=args.max_batch, max_delay=args.max_delay_ms / 1000.0,
         max_pending=args.max_pending, policy=args.policy,
         max_request_pairs=args.max_request_pairs,
         max_conn_inflight=args.max_conn_inflight,
         request_timeout=args.request_timeout,
-        access_log=args.access_log,
-        access_log_max_bytes=args.access_log_max_bytes,
-        metrics_port=args.metrics_port,
-        slow_log_size=args.slow_log_size,
-        span_sample=args.span_sample,
+        slow_log_size=args.slow_log_size, span_sample=args.span_sample,
         executor_workers=args.executor_threads,
-        slo_defaults=slo_defaults,
-        flight_dir=flight_dir,
-        state=state)
+        slo_defaults=slo_defaults, flight_dir=flight_dir)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    state, rows = _boot(args)
+    try:
+        if args.workers > 1:
+            return _serve_fleet(args, rows, state)
+        return _serve_single(args, rows, state)
+    finally:
+        if state is not None:
+            # Fold the journal into a checkpoint so the next boot
+            # replays nothing (crashes skip this and replay instead).
+            state.checkpoint()
+            state.close()
+
+
+def _serve_single(args: argparse.Namespace, rows: list, state) -> int:
+    """``serve``: one in-process gateway over the boot ``rows``."""
+    import asyncio
+
+    from repro.server.server import ReachServer, ServerConfig
+
+    config = ServerConfig(
+        host=args.host, port=args.port, access_log=args.access_log,
+        access_log_max_bytes=args.access_log_max_bytes,
+        metrics_port=args.metrics_port, state=state,
+        **_server_options(args))
+    scheme, tenants = rows[0].scheme, [row.name for row in rows[1:]]
     server = ReachServer(None, scheme=scheme, config=config)
     # Pre-start registration: the event loop is not running yet, so
-    # adopting the boot rows here is safe.
+    # adopting the boot rows here is safe.  Each row's index becomes
+    # the image the server serves; the built ones are freed here.
     for row in rows:
         server.adopt(row)
-    for reason in degraded_reasons:
-        server.note_degraded(reason)
+    stats = rows[0].index.stats()
 
     async def _serve() -> None:
         await server.start()
-        stats = index.stats()
         print(f"serving {scheme} ({stats.num_nodes} nodes, "
               f"{stats.num_edges} edges) on {config.host}:{server.port}"
               f" — max_batch={config.max_batch}, "
               f"max_delay={config.max_delay * 1000:.1f}ms, "
               f"policy={config.policy}  (ctrl-c to stop)", flush=True)
         if tenants:
-            print("tenants: " + ", ".join(row.name for row in tenants),
-                  flush=True)
+            print("tenants: " + ", ".join(tenants), flush=True)
         if config.metrics_port is not None:
             print(f"Prometheus scrape endpoint on "
                   f"http://{config.host}:{server.metrics_port}/metrics",
@@ -372,20 +377,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         print("\nserver stopped")
-    finally:
-        if state is not None:
-            # Fold the journal into a checkpoint so the next boot
-            # replays nothing (crashes skip this and replay instead).
-            state.checkpoint()
-            state.close()
     return 0
 
 
-def _serve_fleet(args: argparse.Namespace, index, scheme: str,
-                 tenants: list, *, state=None,
-                 degraded_reasons: Sequence[str] = (),
-                 slo_defaults=None, flight_dir=None) -> int:
-    """``serve --workers N``: the SO_REUSEPORT worker fleet."""
+def _serve_fleet(args: argparse.Namespace, rows: list, state) -> int:
+    """``serve --workers N``: the SO_REUSEPORT worker fleet over the
+    boot ``rows`` (entry 0 first), which it empties: the fleet parent
+    keeps no index once it has published them."""
     import signal
     import threading
 
@@ -397,32 +395,15 @@ def _serve_fleet(args: argparse.Namespace, index, scheme: str,
         # (worker-labelled) instead.
         print("note: --access-log is ignored with --workers > 1",
               file=sys.stderr)
-    server_options = dict(
-        max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0,
-        max_pending=args.max_pending, policy=args.policy,
-        max_request_pairs=args.max_request_pairs,
-        max_conn_inflight=args.max_conn_inflight,
-        request_timeout=args.request_timeout,
-        slow_log_size=args.slow_log_size,
-        span_sample=args.span_sample,
-        executor_workers=args.executor_threads)
-    if slo_defaults is not None:
-        server_options["slo_defaults"] = slo_defaults
-    if flight_dir is not None:
-        # Every worker spills its own ring into the shared directory;
-        # the per-worker label keeps the file names distinct.
-        server_options["flight_dir"] = str(flight_dir)
-    fleet = WorkerFleet(index, scheme=scheme, workers=args.workers,
+    options = _server_options(args)
+    scheme, stats = rows[0].scheme, rows[0].index.stats()
+    tenants = [row.name for row in rows[1:]]
+    fleet = WorkerFleet(rows[0].index, scheme=scheme, workers=args.workers,
                         host=args.host, port=args.port,
-                        server_options=server_options,
-                        tenants=tenants, state=state,
-                        metrics_port=args.metrics_port,
-                        flight_dir=(str(flight_dir)
-                                    if flight_dir is not None else None))
-    for reason in degraded_reasons:
-        print(f"state-dir: DEGRADED: {reason}", file=sys.stderr,
-              flush=True)
+                        server_options=options, tenants=rows[1:],
+                        state=state, metrics_port=args.metrics_port,
+                        flight_dir=options["flight_dir"])
+    rows.clear()  # the built entry 0 goes; the fleet holds its image
     # A SIGTERM (systemd stop, `timeout`, docker stop) must run the
     # same clean shutdown as ctrl-c, or the published shared-memory
     # generation leaks in /dev/shm.
@@ -431,7 +412,6 @@ def _serve_fleet(args: argparse.Namespace, index, scheme: str,
                              lambda signum, frame: done.set())
     fleet.start()
     try:
-        stats = index.stats()
         print(f"serving {scheme} ({stats.num_nodes} nodes, "
               f"{stats.num_edges} edges) on {args.host}:{fleet.port}"
               f" — workers={fleet.workers}, "
@@ -445,8 +425,7 @@ def _serve_fleet(args: argparse.Namespace, index, scheme: str,
                   f"http://{args.host}:{fleet.metrics_port}/metrics",
                   flush=True)
         if tenants:
-            print("tenants: " + ", ".join(row.name for row in tenants),
-                  flush=True)
+            print("tenants: " + ", ".join(tenants), flush=True)
         done.wait()
         print("\nfleet stopped")
     except KeyboardInterrupt:
@@ -454,9 +433,6 @@ def _serve_fleet(args: argparse.Namespace, index, scheme: str,
     finally:
         fleet.stop()
         signal.signal(signal.SIGTERM, previous)
-        if state is not None:
-            state.checkpoint()
-            state.close()
     return 0
 
 
@@ -1035,8 +1011,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     serve.add_argument("--index", type=Path, default=None,
                        help="warm-start from a saved index instead of "
                             "building from the graph file")
-    serve.add_argument("--scheme", choices=available_schemes(),
-                       default="dual-i")
+    serve.add_argument("--scheme", choices=IMAGE_SCHEMES,
+                       default="dual-i",
+                       help="index scheme served (the schemes an index "
+                            "image holds)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7421,
                        help="listening port (0 = ephemeral)")
@@ -1249,7 +1227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="seconds of sustained load")
     chaos.add_argument("--nodes", type=int, default=150,
                        help="graph size (edges = 2x)")
-    chaos.add_argument("--scheme", choices=("dual-i", "dual-ii"),
+    chaos.add_argument("--scheme", choices=IMAGE_SCHEMES,
                        default="dual-ii")
     chaos.add_argument("--recovery-timeout", type=float, default=5.0,
                        help="per-fault bound on seeing correct answers "

@@ -301,6 +301,8 @@ class ReachabilityIndex(abc.ABC):
 
     #: Registry name; subclasses must override.
     scheme_name: ClassVar[str] = ""
+    #: The image bytes a loaded index's columns view; ``None`` if built.
+    image: bytes | None = None
 
     @classmethod
     @abc.abstractmethod

@@ -43,7 +43,7 @@ class DualIILabelArrays(LabelArrays):
 
     The tree test is two gathers over the interval arrays; the non-tree
     test evaluates ``N(a₁, a₂) − N(b₁, a₂)`` with the search tree's
-    fused :meth:`~repro.core.tlc_searchtree.TLCSearchTree.count_diff_many`,
+    fused :meth:`~repro.core.tlc_searchtree.TLCSearchTree.count_diff_encoded`,
     i.e. the ``O(log t)`` lookups become batched ``searchsorted`` calls
     sharing one row search.
     """

@@ -4,7 +4,8 @@ A Dual-I or Dual-II index is fixed-width integers by construction
 (paper §3), so it persists as one versioned little-endian *image* whose
 sections are the index's own columns (layout table: docs/API.md).  The
 file writer, the shared-memory publisher (:mod:`repro.core.shm`) and
-durable artifacts (:mod:`repro.server.durability`) all write it.  Every
+durable artifacts (:mod:`repro.server.durability`) all write it, and
+the server serves nothing else (:func:`as_image`).  Every
 reader checks one sha256 over every byte after the digest, views the
 sections with ``np.frombuffer`` and runs :func:`_check_labels`, a
 vectorised, graph-free check of the paper's label invariants
@@ -22,7 +23,6 @@ import math
 import os
 import struct
 import tempfile
-from itertools import chain
 from pathlib import Path
 from typing import Union
 
@@ -37,7 +37,9 @@ from repro.exceptions import CorruptIndexError, IndexBuildError
 
 __all__ = [
     "FORMAT_VERSION",
+    "IMAGE_SCHEMES",
     "MAGIC",
+    "as_image",
     "dumps_index",
     "load_dual_index",
     "loads_index",
@@ -47,6 +49,8 @@ __all__ = [
 
 MAGIC = b"RPROIDX1"
 FORMAT_VERSION = 1
+#: The schemes an image holds, and so the only ones the server serves.
+IMAGE_SCHEMES = ("dual-i", "dual-ii")
 
 PathLike = Union[str, Path]
 
@@ -139,11 +143,9 @@ def _sections(index) -> list:
             ("tlc_matrix", pack_tlc_matrix(tlc).matrix)]
     elif isinstance(index, DualIIIndex):
         columns = ("starts", "ends")
-        rows = index.search_tree.rows  # CSR: offsets, then all tails
-        scheme_sections = [
-            ("row_ys", np.asarray(index.search_tree.row_ys, np.int32)),
-            ("row_offsets", np.cumsum([0] + [len(row) for row in rows])),
-            ("row_tails", np.fromiter(chain.from_iterable(rows), np.int32))]
+        tree = index.search_tree
+        scheme_sections = [(name, getattr(tree, name)) for name
+                           in ("row_ys", "row_offsets", "row_tails")]
     else:
         raise IndexBuildError(
             f"only Dual-I and Dual-II indexes are serialisable, got "
@@ -166,11 +168,14 @@ def _seal(image: bytearray) -> None:
 
 def dumps_index(index) -> bytes:
     """The image bytes of a Dual-I or Dual-II ``index``: what the file
-    writer and the shared-memory publisher both emit.
+    writer and the shared-memory publisher both emit.  A loaded index
+    returns the bytes it was loaded from, unchanged.
 
     Raises :class:`IndexBuildError` if the scheme is not serialisable
     or a node is not a str/int/float/bool.
     """
+    if index.image is not None:
+        return index.image
     sections = _sections(index)
     offsets = [_HEADER.size + len(sections) * _ENTRY.size]
     for _name, array in sections:  # every section 64-byte aligned
@@ -219,7 +224,7 @@ def _read_sections(data, origin: str) -> tuple[str, dict]:
     if hashlib.sha256(memoryview(data)[40:]).digest() != digest:
         raise corrupt("sha256 checksum mismatch — the image is corrupt")
     scheme = scheme.rstrip(b"\0").decode("ascii", "replace")
-    if version != FORMAT_VERSION or scheme not in ("dual-i", "dual-ii"):
+    if version != FORMAT_VERSION or scheme not in IMAGE_SCHEMES:
         raise IndexBuildError(
             f"{origin}: unsupported image version {version} or scheme "
             f"{scheme!r} (this release reads version {FORMAT_VERSION}) "
@@ -375,10 +380,8 @@ def _index(scheme: str, sections: dict, origin: str):
             f"{origin}: malformed stats section ({exc!r})") from None
     columns = (sections["starts"], sections["ends"])
     if scheme == "dual-ii":
-        bounds = sections["row_offsets"].tolist()
-        tails = sections["row_tails"].tolist()
-        tree = TLCSearchTree(sections["row_ys"].tolist(), [
-            tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+        tree = TLCSearchTree(sections["row_ys"], sections["row_offsets"],
+                             sections["row_tails"])
         return DualIIIndex(component_of, tree, *columns, stats)
     tlc = TLCMatrix(tuple(sections["tlc_xs"].tolist()),
                     tuple(sections["tlc_ys"].tolist()),
@@ -389,11 +392,23 @@ def _index(scheme: str, sections: dict, origin: str):
 
 def loads_index(data: bytes, origin: str = "<memory>"):
     """Restore an index from image bytes; its columns are read-only
-    views into ``data``.  Checks and errors as :func:`load_dual_index`;
-    ``origin`` (a path, ``shm:<name>``) names the source in them."""
+    views into ``data`` (kept as ``index.image`` when it is ``bytes``).
+    Checks and errors as :func:`load_dual_index`; ``origin`` (a path,
+    ``shm:<name>``) names the source in them."""
     scheme, sections = _read_sections(data, origin)
     _check_labels(sections, scheme, origin)
-    return _index(scheme, sections, origin)
+    index = _index(scheme, sections, origin)
+    if isinstance(data, bytes):
+        index.image = data
+    return index
+
+
+def as_image(index):
+    """``index`` in its served form: a loaded index as it is, a built
+    one as ``loads_index(dumps_index(index))`` — label-checked, with no
+    pipeline or graph.  Raises as those two do."""
+    return index if index.image is not None else \
+        loads_index(dumps_index(index))
 
 
 def load_dual_index(path: PathLike):

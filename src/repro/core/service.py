@@ -149,10 +149,6 @@ class ServiceMetrics:
         seconds = self.stage_seconds.get("total", 0.0)
         return self.queries / seconds if seconds > 0 else 0.0
 
-    def batch_percentiles_ms(self) -> dict[str, float]:
-        """Batch latency ``{p50,p95,p99,max}_ms`` estimates."""
-        return self._batch_seconds.percentiles_ms()
-
     def as_dict(self, reset: bool = False) -> dict[str, Any]:
         """Flat dictionary view for CSV/markdown reporting.
 

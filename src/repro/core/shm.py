@@ -130,7 +130,8 @@ class PublishedIndex:
 
 
 def publish_index(index, *, name: str | None = None) -> PublishedIndex:
-    """Serialise ``index`` into a fresh shared-memory segment.
+    """Copy ``index``'s image (:func:`~repro.core.serialize.dumps_index`;
+    a loaded index's own bytes) into a fresh shared-memory segment.
 
     ``name`` defaults to ``repro-idx-<pid>-<nonce>``; the fleet passes
     explicit per-generation names (``...-g0``, ``...-g1``) so a swap is

@@ -16,6 +16,10 @@ transitive link ``i -> [j, k)`` is alive on ``[j, k)``, so rows sit at all
   duplicate TLC values are equivalent to this sorted-array encoding: both
   store one entry per distinct breakpoint and answer in ``O(log t)``.)
 
+The rows are stored CSR, as the index image holds them: ``row_ys``,
+``row_offsets`` (row ``r`` is ``row_tails[row_offsets[r]:row_offsets[r +
+1]]``) and the concatenated ``row_tails``.
+
 Total query cost: ``O(log t)``.  Space: ``O(t²)`` worst case, but
 typically far less because most links are alive in few rows.
 """
@@ -35,7 +39,8 @@ __all__ = ["TLCSearchTree", "build_tlc_search_tree"]
 class TLCSearchTree:
     """Two-layer search structure evaluating ``N(x, y)`` in O(log t)."""
 
-    __slots__ = ("row_ys", "rows", "_vec", "_lut")
+    __slots__ = ("row_ys", "row_offsets", "row_tails", "_lists", "_vec",
+                 "_lut")
 
     #: Direct-address acceleration cap: the dense rank tables of
     #: :meth:`_direct_tables` are only built while ``rows * base`` stays
@@ -43,50 +48,62 @@ class TLCSearchTree:
     #: spaces keep the ``searchsorted`` path.
     _LUT_MAX_ENTRIES = 4_194_304
 
-    def __init__(self, row_ys: list[int], rows: list[list[int]]) -> None:
-        if len(row_ys) != len(rows):
-            raise ValueError("row_ys and rows must have equal length")
-        self.row_ys = row_ys
-        self.rows = rows
+    def __init__(self, row_ys, row_offsets, row_tails) -> None:
+        self.row_ys = np.asarray(row_ys, dtype=np.int32)
+        self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
+        self.row_tails = np.asarray(row_tails, dtype=np.int32)
+        if len(self.row_offsets) != len(self.row_ys) + 1:
+            raise ValueError("row_offsets needs len(row_ys) + 1 entries")
+        self._lists: tuple | None = None
         self._vec: tuple | None = None
         self._lut: tuple | None | bool = False
 
+    @property
+    def rows(self) -> list[list[int]]:
+        """Each row's sorted tails as a list (made on first use)."""
+        return self._scalar()[1]
+
+    def _scalar(self) -> tuple:
+        """List copies of both layers, made on the first scalar query:
+        ``bisect`` over lists beats numpy on one probe."""
+        if self._lists is None:
+            tails = self.row_tails.tolist()
+            bounds = self.row_offsets.tolist()
+            self._lists = (self.row_ys.tolist(), [
+                tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+        return self._lists
+
     def count(self, x: int, y: int) -> int:
         """The TLC function ``N(x, y)`` for arbitrary coordinates."""
-        r = bisect_right(self.row_ys, y) - 1
+        row_ys, rows = self._lists or self._scalar()
+        r = bisect_right(row_ys, y) - 1
         if r < 0:
             return 0
-        row = self.rows[r]
+        row = rows[r]
         return len(row) - bisect_left(row, x)
 
     def _vectorised(self) -> tuple:
         """Flat numpy encoding of the two layers (built once).
 
         Both binary searches of :meth:`count` become ``np.searchsorted``
-        calls: the upper layer is already a sorted array, and the ragged
-        lower-layer rows flatten into one globally sorted key array by
-        encoding each tail as ``row_index * base + (tail - min_tail)``
-        with ``base`` wider than the tail value range — within-row order
-        is preserved and rows occupy disjoint, increasing key bands.
+        calls: the upper layer is already a sorted array, and the flat
+        tails become one globally sorted key array by encoding each as
+        ``row_index * base + (tail - min_tail)`` with ``base`` wider
+        than the tail value range — within-row order is preserved and
+        rows occupy disjoint, increasing key bands.
         """
         if self._vec is None:
-            row_ys = np.asarray(self.row_ys, dtype=np.int64)
-            lengths = np.fromiter((len(row) for row in self.rows),
-                                  dtype=np.int64, count=len(self.rows))
-            row_ends = np.cumsum(lengths)
-            flat = (np.concatenate(
-                        [np.asarray(row, dtype=np.int64)
-                         for row in self.rows])
-                    if self.rows else np.zeros(0, dtype=np.int64))
+            row_ys = self.row_ys.astype(np.int64)
+            flat = self.row_tails.astype(np.int64)
             if flat.size:
                 min_tail = int(flat.min())
                 base = int(flat.max()) - min_tail + 2
             else:
                 min_tail, base = 0, 1
-            row_index = np.repeat(
-                np.arange(len(self.rows), dtype=np.int64), lengths)
+            row_index = np.repeat(np.arange(len(row_ys), dtype=np.int64),
+                                  np.diff(self.row_offsets))
             keys = row_index * base + (flat - min_tail)
-            self._vec = (row_ys, row_ends, keys, min_tail, base)
+            self._vec = (row_ys, keys, min_tail, base)
         return self._vec
 
     def _direct_tables(self) -> tuple | None:
@@ -101,8 +118,8 @@ class TLCSearchTree:
         ``searchsorted``) beyond :data:`_LUT_MAX_ENTRIES`.
         """
         if self._lut is False:
-            row_ys, row_ends, keys, min_tail, base = self._vectorised()
-            total = len(self.rows) * base
+            row_ys, keys, min_tail, base = self._vectorised()
+            total = len(row_ys) * base
             if (keys.size == 0 or total > self._LUT_MAX_ENTRIES
                     or int(row_ys[-1]) + 1 > self._LUT_MAX_ENTRIES):
                 self._lut = None
@@ -146,24 +163,6 @@ class TLCSearchTree:
         self._direct_tables()
         return self
 
-    def count_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vector form of :meth:`count` for aligned coordinate arrays."""
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        row_ys, row_ends, keys, min_tail, base = self._vectorised()
-        if keys.size == 0 or xs.size == 0:
-            return np.zeros(xs.shape, dtype=np.int64)
-        luts = self._direct_tables()
-        r = self._row_search(ys, row_ys, luts)
-        valid = r >= 0
-        r_safe = np.where(valid, r, 0).astype(np.int64)
-        # Clipping x into the encoded band keeps the searchsorted answer
-        # equal to the in-row bisect: below-range x counts every entry,
-        # above-range x counts none.
-        x_shift = np.clip(xs - min_tail, 0, base - 1)
-        pos = self._key_search(r_safe * base + x_shift, keys, luts)
-        return np.where(valid, row_ends[r_safe] - pos, 0)
-
     def row_plan(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(band, valid)`` encoding of reusable y-coordinates.
 
@@ -175,7 +174,7 @@ class TLCSearchTree:
         :meth:`count_diff_encoded`.
         """
         ys = np.asarray(ys, dtype=np.int64)
-        row_ys, _row_ends, keys, _min_tail, base = self._vectorised()
+        row_ys, keys, _min_tail, base = self._vectorised()
         if keys.size == 0 or ys.size == 0:
             return (np.zeros(ys.shape, dtype=np.int64),
                     np.zeros(ys.shape, dtype=bool))
@@ -185,10 +184,11 @@ class TLCSearchTree:
 
     def x_encode(self, xs: np.ndarray) -> np.ndarray:
         """Key-space offsets of reusable x-coordinates (see
-        :meth:`row_plan`); clipping preserves the out-of-range counting
-        convention of :meth:`count_many`."""
+        :meth:`row_plan`); clipping keeps :meth:`count`'s answer for
+        out-of-range x: below the band every entry counts, above it
+        none."""
         xs = np.asarray(xs, dtype=np.int64)
-        _row_ys, _row_ends, keys, min_tail, base = self._vectorised()
+        _row_ys, keys, min_tail, base = self._vectorised()
         if keys.size == 0:
             return np.zeros(xs.shape, dtype=np.int64)
         return np.clip(xs - min_tail, 0, base - 1)
@@ -196,12 +196,16 @@ class TLCSearchTree:
     def count_diff_encoded(self, off_first: np.ndarray,
                            off_second: np.ndarray, band: np.ndarray,
                            valid: np.ndarray) -> np.ndarray:
-        """:meth:`count_diff_many` over pre-encoded coordinates.
+        """Vectorised ``N(x_first, y) - N(x_second, y)`` per position,
+        the form every Dual-II query needs (Theorem 2 tests ``N(a₁, a₂)
+        − N(b₁, a₂) > 0``), over pre-encoded coordinates.
 
         ``off_*`` come from :meth:`x_encode` and ``(band, valid)`` from
-        :meth:`row_plan` — per-batch work reduces to one key search.
+        :meth:`row_plan`; both counts share the row, so the difference
+        is the gap between two in-row insertion points — per-batch work
+        reduces to one key search.
         """
-        _row_ys, _row_ends, keys, _min_tail, _base = self._vectorised()
+        keys = self._vectorised()[1]
         if keys.size == 0 or band.size == 0:
             return np.zeros(band.shape, dtype=np.int64)
         probes = np.concatenate([band + off_first, band + off_second])
@@ -224,7 +228,7 @@ class TLCSearchTree:
         The rank lookup itself (``searchsorted`` or the LUT gather) has
         no ``out=`` form and remains the one per-call allocation.
         """
-        _row_ys, _row_ends, keys, _min_tail, _base = self._vectorised()
+        keys = self._vectorised()[1]
         n = band.shape[0]
         if keys.size == 0 or n == 0:
             out[:n] = False
@@ -237,42 +241,15 @@ class TLCSearchTree:
         np.greater(pos[n:], pos[:n], out=out)
         np.logical_and(out, valid, out=out)
 
-    def count_diff_many(self, x_first: np.ndarray, x_second: np.ndarray,
-                        ys: np.ndarray) -> np.ndarray:
-        """Vectorised ``N(x_first, y) - N(x_second, y)`` per position.
-
-        The form every Dual-II query needs (Theorem 2 tests
-        ``N(a₁, a₂) − N(b₁, a₂) > 0``).  Both counts share the same row,
-        so the row search runs once and the ``row_ends`` terms cancel:
-        the difference is just the gap between the two in-row insertion
-        points.
-        """
-        x_first = np.asarray(x_first, dtype=np.int64)
-        x_second = np.asarray(x_second, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        row_ys, row_ends, keys, min_tail, base = self._vectorised()
-        if keys.size == 0 or ys.size == 0:
-            return np.zeros(ys.shape, dtype=np.int64)
-        luts = self._direct_tables()
-        r = self._row_search(ys, row_ys, luts)
-        valid = r >= 0
-        band = np.where(valid, r, 0).astype(np.int64) * base
-        probes = np.concatenate([
-            band + np.clip(x_first - min_tail, 0, base - 1),
-            band + np.clip(x_second - min_tail, 0, base - 1)])
-        pos = self._key_search(probes, keys, luts)
-        n = ys.shape[0]
-        return np.where(valid, pos[n:] - pos[:n].astype(np.int64), 0)
-
     @property
     def num_rows(self) -> int:
         """Number of stored rows (``<= 2t``)."""
-        return len(self.rows)
+        return len(self.row_ys)
 
     @property
     def num_entries(self) -> int:
         """Total stored tail entries across all rows."""
-        return sum(len(row) for row in self.rows)
+        return len(self.row_tails)
 
     @property
     def nbytes(self) -> int:
@@ -300,18 +277,22 @@ def build_tlc_search_tree(transitive_table: LinkTable) -> TLCSearchTree:
         events.setdefault(link.head_end, ([], []))[1].append(link.tail)
 
     row_ys: list[int] = []
-    rows: list[list[int]] = []
+    offsets = [0]
+    tails: list[int] = []
     alive: list[int] = []  # sorted multiset of tails
+    last = None  # the previous row
     for y in sorted(events):
         starts, ends = events[y]
         for tail in ends:
             del alive[bisect_left(alive, tail)]
         for tail in starts:
             insort(alive, tail)
-        if rows and rows[-1] == alive:
+        if alive == last:
             # Alive multiset unchanged: extend the previous row's reign
             # instead of storing a duplicate (the paper's collapsing).
             continue
+        last = list(alive)
         row_ys.append(y)
-        rows.append(list(alive))
-    return TLCSearchTree(row_ys=row_ys, rows=rows)
+        tails += last
+        offsets.append(len(tails))
+    return TLCSearchTree(row_ys, offsets, tails)

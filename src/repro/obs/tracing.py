@@ -43,7 +43,6 @@ import heapq
 import itertools
 import os
 import threading
-import time
 from typing import Any
 
 __all__ = ["BatchTicket", "SlowQueryLog", "SpanRecorder", "TraceIds",
@@ -254,8 +253,3 @@ class SlowQueryLog:
     def __len__(self) -> int:
         with self._lock:
             return len(self._heap)
-
-
-def utcnow() -> float:
-    """Wall-clock timestamp for log records (seconds since epoch)."""
-    return time.time()

@@ -59,8 +59,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.core.serialize import (load_dual_index, save_dual_index,
-                                  write_atomic)
+from repro.core.serialize import (as_image, load_dual_index,
+                                  save_dual_index, write_atomic)
 from repro.exceptions import CorruptJournalError, IndexBuildError
 from repro.server.tenancy import (DEFAULT_INDEX, DEFAULT_INDEX_ID,
                                   EntryRow, index_label_bytes)
@@ -249,6 +249,9 @@ class DurableState:
         self._appended = 0
         self.recovered = False
         self.recovery_seconds: float | None = None
+        #: Degraded-mode reasons :func:`restore_catalog` found at boot;
+        #: the single server and the fleet both start degraded with them.
+        self.degraded: list[str] = []
 
     # -- paths ----------------------------------------------------------
     @property
@@ -385,11 +388,15 @@ class DurableState:
                 quota=dict(doc.get("quota") or {}))
         elif op == "install":
             entry = self._entries.get(name)
-            if entry is None:
+            index_id = int(doc["index_id"])
+            if entry is None or entry.index_id != index_id:
+                if index_id != DEFAULT_INDEX_ID:
+                    # The install of an entry dropped meanwhile replays
+                    # as a no-op: the drop is the winning mutation.
+                    return
                 # The default entry is installed without an explicit
                 # create record.
-                entry = EntryState(name=name,
-                                   index_id=int(doc["index_id"]),
+                entry = EntryState(name=name, index_id=index_id,
                                    scheme=doc["scheme"])
                 self._entries[name] = entry
             entry.scheme = doc["scheme"]
@@ -439,12 +446,13 @@ class DurableState:
         """Make ``index`` the next durable generation of ``name``;
         returns that generation.
 
-        The commit of every build, load and reload: the artifact is
-        saved first, then the fsynced ``install`` record that names it
-        — the commit point.  Callers install the new generation in
-        memory and acknowledge their client only after this returns, so
-        an acknowledged install survives any crash; a crash before the
-        record leaves an unreferenced artifact that recovery removes.
+        The commit of every build, load and reload: the artifact (the
+        image bytes ``index`` is served from) is saved first, then the
+        fsynced ``install`` record that names it — the commit point.
+        Callers install the new generation in memory and acknowledge
+        their client only after this returns, so an acknowledged install
+        survives any crash; a crash before the record leaves an
+        unreferenced artifact that recovery removes.
         """
         generation = self.next_generation(name)
         artifact = self.save_index(index, name, generation)
@@ -457,11 +465,19 @@ class DurableState:
                        generation: int, label_bytes: int,
                        artifact: str | None) -> None:
         """Journal a new live generation (fsynced before returning);
-        :meth:`commit_install` is the caller that keeps the ordering."""
+        :meth:`commit_install` is the caller that keeps the ordering.
+        Raises :class:`IndexBuildError` for a tenant dropped first (the
+        check holds the lock, so it cannot race :meth:`record_drop`)."""
         doc = {"op": "install", "name": name, "index_id": index_id,
                "scheme": scheme, "generation": generation,
                "label_bytes": label_bytes, "artifact": artifact}
         with self._lock:
+            entry = self._entries.get(name)
+            if index_id != DEFAULT_INDEX_ID and (
+                    entry is None or entry.index_id != index_id):
+                raise IndexBuildError(
+                    f"index {name!r} was dropped before its install "
+                    f"was journaled")
             self._append_locked(doc)
             self._apply_locked(doc)
             self._maybe_checkpoint_locked()
@@ -642,8 +658,7 @@ class BootCatalog:
     tenants: list = field(default_factory=list)
     #: Human-readable boot notes (restored generations, fresh builds).
     notes: list = field(default_factory=list)
-    #: Degraded-mode reasons (quarantined artifacts) — surfaced via
-    #: ``ReachServer.note_degraded`` and the operator log.
+    #: Degraded-mode reasons (quarantined artifacts): ``state.degraded``.
     degraded: list = field(default_factory=list)
 
 
@@ -679,27 +694,21 @@ def restore_catalog(state: DurableState, *,
     CLI's graph arguments; it is only invoked when the state dir has
     no durable default generation or that generation's artifact is
     corrupt (rebuild fallback) and must return ``(index, scheme)``.
-    A freshly built default is saved + journaled here, so the *next*
-    start restores it without the factory.
+    A fresh default is frozen to its image, saved + journaled here, so
+    the *next* start restores it without the factory.
 
     Tenant entries with quarantined/missing artifacts come back with
     ``index=None`` — registered but empty (queries answer
     ``unknown_index``-style errors until the operator rebuilds) — and
-    a degraded note, never a startup failure.
+    a degraded reason in ``state.degraded``, never a startup failure.
     """
     started = time.monotonic()
-    boot = BootCatalog(default=None)  # type: ignore[arg-type]
-    default_snap = None
-    tenant_snaps = []
-    for snap in sorted(state.entries(), key=lambda s: s.index_id):
-        if snap.index_id == 0:
-            default_snap = snap
-        else:
-            tenant_snaps.append(snap)
-
-    default_index = None
-    if default_snap is not None:
-        default_index = _load_entry_index(state, default_snap, boot)
+    boot = BootCatalog(default=None,  # type: ignore[arg-type]
+                       degraded=state.degraded)
+    snaps = {snap.index_id: snap for snap in state.entries()}
+    default_snap = snaps.pop(DEFAULT_INDEX_ID, None)
+    default_index = (_load_entry_index(state, default_snap, boot)
+                     if default_snap is not None else None)
     if default_index is not None:
         boot.default = _row(default_snap, default_index)
         boot.notes.append(
@@ -709,6 +718,7 @@ def restore_catalog(state: DurableState, *,
         # Fresh state dir, or the durable default was quarantined:
         # (re)build from the CLI graph and make it durable now.
         index, scheme = default_factory()
+        index = as_image(index)
         label_bytes = index_label_bytes(index)
         generation = state.commit_install(
             index, DEFAULT_INDEX, index_id=DEFAULT_INDEX_ID,
@@ -719,13 +729,12 @@ def restore_catalog(state: DurableState, *,
         boot.notes.append(
             f"default index built fresh as generation {generation}")
 
-    for snap in tenant_snaps:
-        boot.tenants.append(
-            _row(snap, _load_entry_index(state, snap, boot)))
-    if tenant_snaps:
+    boot.tenants = [_row(snap, _load_entry_index(state, snap, boot))
+                    for _, snap in sorted(snaps.items())]
+    if boot.tenants:
         loaded = sum(1 for t in boot.tenants if t.index is not None)
         boot.notes.append(
-            f"restored {len(tenant_snaps)} tenant(s), "
+            f"restored {len(boot.tenants)} tenant(s), "
             f"{loaded} with live indexes")
     if state.recovery_seconds is not None:
         state.recovery_seconds += time.monotonic() - started

@@ -127,8 +127,8 @@ class WorkerFleet:
     Parameters
     ----------
     index:
-        A built (serialisable) index — the parent publishes it and
-        never serves queries itself.
+        A Dual-I or Dual-II index — the parent publishes its image
+        and never serves queries itself.
     scheme:
         Scheme tag reported by the workers (``dual-i`` / ``dual-ii``).
     workers:
@@ -142,10 +142,11 @@ class WorkerFleet:
         rows: restored ones (with an ``index_id``) resume their
         durable generation, new ones are created and installed through
         the catalog mutation path.  A row's ``index`` is published into
-        a per-index ``/dev/shm`` segment at start; a row without one
-        stays registered but empty.  Further tenants can be added at
-        runtime through the ``catalog`` verb — any worker forwards
-        mutations here and the parent moves the whole fleet together.
+        a per-index ``/dev/shm`` segment at start and then let go; a row
+        without one stays registered but empty.  Further tenants can be
+        added at runtime through the ``catalog`` verb — any worker
+        forwards mutations here and the parent moves the whole fleet
+        together.
     server_options:
         Picklable :class:`~repro.server.server.ServerConfig` keywords
         applied to every worker (``max_batch``, ``policy``, ...).
@@ -227,6 +228,9 @@ class WorkerFleet:
         # here *before* workers swap and the requester is acknowledged;
         # workers themselves never touch the state dir.
         self._mutator = CatalogMutator(self._catalog, state)
+        #: Boot-time degraded reasons: workers spawned before entry 0's
+        #: next good install start degraded, as a single server does.
+        self._degraded = list(state.degraded) if state is not None else []
         generation = 0
         if state is not None:
             snap = state.entry(DEFAULT_INDEX)
@@ -458,6 +462,7 @@ class WorkerFleet:
         # fleet start.
         options["catalog"] = [self._row(entry)
                               for entry in self._catalog.entries()]
+        options["degraded"] = list(self._degraded)
         process = self._ctx.Process(
             target=worker_main,
             args=(handle.worker_id, self._host, self._port, options,
@@ -473,12 +478,6 @@ class WorkerFleet:
         handle.started_at = time.monotonic()
         handle.ping_sent = None
         handle.last_probe = time.monotonic()
-
-    def _handle_for_conn(self, conn) -> _WorkerHandle | None:
-        for handle in self._handles:
-            if handle.conn is conn:
-                return handle
-        return None
 
     def _poll_control(self, timeout: float) -> list[tuple]:
         """One ``connection.wait`` round over worker pipes + sentinels.
@@ -711,9 +710,12 @@ class WorkerFleet:
             if m.generation is None:
                 m.generation = m.entry.generation + 1
             old = self._segments.get(m.name)
+            # ``m.index`` is the image: publishing only copies bytes.
             self._segments[m.name] = publish_index(
                 m.index, name=self._segment_name(m.entry.index_id,
                                                  m.generation))
+            if m.on_default:
+                self._degraded.clear()
         entry = self._mutator.commit(m)
         doc = self._mutator.reply(m)
         if m.op == "drop":

@@ -536,6 +536,9 @@ class ReachServer:
                 "Boot-time durable-state recovery latency in seconds",
                 buckets=RECOVERY_BUCKETS,
             ).observe(recovery_seconds)
+        if self._state is not None:  # boot-time quarantines
+            for reason in self._state.degraded:
+                self.note_degraded(reason)
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -1483,8 +1486,8 @@ class ReachServer:
         The shared :class:`~repro.server.tenancy.CatalogMutator` path
         (validate, build or load, budget, journal, apply), then this
         process's serving step: install a local service, or drain a
-        dropped entry's lanes.  An install's build, budget check and
-        durable commit share one hop to the reload executor, so a
+        dropped entry's lanes.  An install's build, freeze, budget check
+        and durable commit share one hop to the reload executor, so a
         rebuild never sits in front of query flushes.  A failed install
         of entry 0 degrades the server; it keeps answering from the
         last good index.  A fleet worker hands the request to its

@@ -44,8 +44,8 @@ names answer with the ``unknown_index`` error code.
 Every mutation — those ops, ``reload``, and the registration of boot
 rows — runs through :class:`CatalogMutator`, the one implementation
 the single server and the worker fleet share: validate, build or
-load, check the label budget, journal, then apply.  The two targets
-differ only in how a new generation reaches serving code.
+load, freeze, check the label budget, journal, then apply.  The two
+targets differ only in how a new generation reaches serving code.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.core.base import available_schemes, build_index
-from repro.core.serialize import load_dual_index
+from repro.core.base import build_index
+from repro.core.serialize import IMAGE_SCHEMES, as_image, load_dual_index
 from repro.core.service import QueryService
 from repro.exceptions import IndexBudgetExceeded, ReproError
 from repro.graph.io import read_edge_list
@@ -165,8 +165,8 @@ class EntryRow:
     ``serve --tenant`` flag, listed in a fleet worker's spawn manifest,
     or sent to every worker after a mutation.
 
-    A generation reaches serving code either as ``index`` (a built
-    index, in this process) or as ``segment`` (the ``/dev/shm`` segment
+    A generation reaches serving code either as ``index`` (an index
+    image, in this process) or as ``segment`` (the ``/dev/shm`` segment
     a fleet worker attaches); a row with neither is registered but
     empty.  Rows sent to a worker never carry ``index``.
     """
@@ -499,10 +499,15 @@ class CatalogService:
         ``generation`` defaults to the next one.  In-flight flushes
         keep their own snapshot of the replaced service, which is freed
         once they return.  Budget enforcement happens in
-        :meth:`check_budget` *before* the expensive build — this method
-        never fails.  The fleet parent, which never serves, installs
-        ``None`` and keeps only the metadata.
+        :meth:`check_budget` *before* the expensive build; this method
+        fails only (``reload_failed``) for an entry dropped while its
+        install was built.  The fleet parent, which never serves,
+        installs ``None`` and keeps only the metadata.
         """
+        if self._by_name.get(entry.name) is not entry:
+            raise ProtocolError(
+                ERR_RELOAD_FAILED,
+                f"index {entry.name!r} was dropped while its install ran")
         old = entry.service
         entry.service = service
         if scheme is not None:
@@ -596,15 +601,15 @@ MUTATING_OPS = ("create", "build", "load", "quota", "drop")
 
 
 def _scheme(payload: dict, default: str) -> str:
-    """The request's ``scheme`` field, checked against the registry."""
+    """The request's ``scheme`` field: one an index image holds."""
     scheme = payload.get("scheme", default)
     if not isinstance(scheme, str):
         raise ProtocolError(ERR_BAD_REQUEST, "scheme must be a string")
-    if scheme not in available_schemes():
+    if scheme not in IMAGE_SCHEMES:
         raise ProtocolError(
             ERR_BAD_REQUEST,
-            f"unknown scheme {scheme!r}; available: "
-            f"{', '.join(available_schemes())}")
+            f"scheme {scheme!r} cannot be served; served schemes: "
+            f"{', '.join(IMAGE_SCHEMES)}")
     return scheme
 
 
@@ -624,7 +629,7 @@ class Mutation:
     #: ``create`` only: the id :meth:`CatalogService.check_new` gave.
     index_id: int | None = None
     #: ``install`` only: ``"graph"`` or ``"index"`` and its path, then
-    #: the built index and what :meth:`CatalogMutator.prepare` found.
+    #: the index image and what :meth:`CatalogMutator.prepare` found.
     source: str | None = None
     path: str | None = None
     index: Any = None
@@ -632,7 +637,9 @@ class Mutation:
     #: The journaled generation; ``None`` without durable state, when
     #: the install takes the entry's next one.
     generation: int | None = None
+    #: The build's (or load's) times; an image keeps no phase times.
     build_seconds: float = 0.0
+    phase_seconds: dict | None = None
 
     @property
     def on_default(self) -> bool:
@@ -652,11 +659,13 @@ class CatalogMutator:
 
     1. :meth:`parse` validates the request against the catalog
        (``bad_request``, ``unknown_index``) and changes nothing;
-    2. :meth:`prepare` builds or loads the index, checks the label
-       budget and journals the change (blocking: the server runs an
-       install's on its reload executor); any failure raises
-       ``reload_failed`` and still changes nothing in memory;
-    3. :meth:`commit` applies the change to the catalog.
+    2. :meth:`prepare` builds or loads the index, freezes it to its
+       image, checks the label budget and journals the change
+       (blocking: the server runs an install's on its reload
+       executor); any failure raises ``reload_failed`` and still
+       changes nothing in memory;
+    3. :meth:`commit` applies the change to the catalog (an install
+       whose entry was dropped meanwhile fails ``reload_failed``).
 
     The caller then moves serving code — the server installs a local
     service or drains a dropped entry's lanes; the fleet publishes a
@@ -728,7 +737,9 @@ class CatalogMutator:
                         path=path, scheme=_scheme(payload, entry.scheme))
 
     def prepare(self, m: Mutation) -> None:
-        """Build or load ``m``'s index, check its budget, journal ``m``.
+        """Build or load ``m``'s index, freeze it to the image that is
+        served, saved and published (:func:`~repro.core.serialize.as_image`
+        — the built object is freed here), check its budget, journal it.
 
         Blocking (index I/O, fsync).  The journal record is the commit
         point: an install's artifact is saved before its fsynced
@@ -749,7 +760,9 @@ class CatalogMutator:
                                build_index(read_edge_list(m.path),
                                            scheme=m.scheme))
                     m.build_seconds = time.perf_counter() - started
-                m.scheme = type(m.index).scheme_name or m.scheme
+                m.phase_seconds = dict(m.index.stats().phase_seconds)
+                m.index = as_image(m.index)
+                m.scheme = m.index.scheme_name
                 m.label_bytes = self.catalog.check_budget(m.entry, m.index)
             if self.state is not None:
                 self._journal(m)
@@ -816,18 +829,19 @@ class CatalogMutator:
             "nodes": stats.num_nodes,
             "edges": stats.num_edges,
             "build_seconds": m.build_seconds,
-            "phase_seconds": dict(stats.phase_seconds),
+            "phase_seconds": dict(m.phase_seconds or {}),
         }
 
     def adopt(self, row: EntryRow) -> EntryRow:
-        """Register one boot row; returns it complete.
+        """Register one boot row; returns it complete, its ``index``
+        frozen to its image.
 
         A row with an ``index_id`` — entry 0, or an entry restored from
         durable state — resumes as it is.  A row without one (a
         ``serve --tenant`` flag, a fleet's startup tenant) is new: it
         runs the create and install mutations, so it is validated,
-        budget-checked and journaled like a client's request.  The
-        caller serves ``row.index`` at ``row.generation``.
+        frozen, budget-checked and journaled like a client's request.
+        The caller serves ``row.index`` at ``row.generation``.
         """
         if row.index_id is None:
             m = self.parse("catalog", {"op": "create", "name": row.name,
@@ -839,10 +853,12 @@ class CatalogMutator:
                 m = Mutation("install", row.name, entry=m.entry,
                              index=row.index)
                 self.prepare(m)
-                row.scheme, row.label_bytes = m.scheme, m.label_bytes
+                row.index, row.scheme, row.label_bytes = \
+                    m.index, m.scheme, m.label_bytes
                 row.generation = (m.generation if m.generation is not None
                                   else m.entry.generation + 1)
-        elif row.index is not None and not row.label_bytes:
-            row.label_bytes = index_label_bytes(row.index)
+        elif row.index is not None:
+            row.index = as_image(row.index)
+            row.label_bytes = row.label_bytes or index_label_bytes(row.index)
         self.catalog.register(row)
         return row

@@ -118,8 +118,8 @@ def worker_main(worker_id: int, host: str, port: int, options: dict,
     ``options`` carries picklable :class:`ServerConfig` keyword
     arguments plus ``catalog``, the parent's manifest of every catalog
     entry (entry 0 first) as :class:`EntryRow` rows naming their
-    current segments; ``conn`` is this worker's end of the control
-    pipe.
+    current segments, and ``degraded``, the parent's boot-time degraded
+    reasons; ``conn`` is this worker's end of the control pipe.
     """
     try:
         code = asyncio.run(_worker_async(
@@ -134,6 +134,7 @@ async def _worker_async(worker_id: int, host: str, port: int,
     loop = asyncio.get_running_loop()
     options = dict(options)
     manifest = options.pop("catalog")
+    degraded = options.pop("degraded")
 
     pending: dict[int, asyncio.Future] = {}
     tokens = itertools.count()
@@ -157,8 +158,10 @@ async def _worker_async(worker_id: int, host: str, port: int,
                           worker_label=str(worker_id),
                           mutation_delegate=delegate, **options)
     # Entry 0 starts empty and attaches from the manifest like every
-    # other entry.
+    # other entry; the parent's boot-time degraded reasons come along.
     server = ReachServer(None, config=config)
+    for reason in degraded:
+        server.note_degraded(reason)
     #: Entry name -> the segment this worker serves it from.
     attached: dict[str, str] = {}
 

@@ -6,7 +6,8 @@ script must get the same reply codes, the same result keys and the same
 ``health`` after every step from a :class:`ServerThread` and from a
 1-worker :class:`WorkerFleet`, each with and without a durable state
 dir.  The fleet's install replies may add a ``workers`` count; nothing
-else may differ.
+else may differ.  A scheme no index image holds (``interval``) is a
+``bad_request`` everywhere: every target serves images only.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ def _script(files) -> list[tuple[str, str, dict]]:
          {"graph": graph, "scheme": 7}),
         ("reload unknown scheme", "reload",
          {"graph": graph, "scheme": "nope"}),
+        ("reload scheme=interval", "reload",
+         {"graph": graph, "scheme": "interval"}),
         ("create t", "catalog", {"op": "create", "name": "t"}),
         ("reload t missing graph", "reload",
          {"name": "t", "graph": files["missing"]}),
@@ -66,6 +69,9 @@ def _script(files) -> list[tuple[str, str, dict]]:
         ("build t unknown scheme", "catalog",
          {"op": "build", "name": "t", "graph": tenant,
           "scheme": "nope"}),
+        ("build t scheme=interval", "catalog",
+         {"op": "build", "name": "t", "graph": tenant,
+          "scheme": "interval"}),
         ("load t", "catalog", {"op": "load", "name": "t",
                                "index": files["saved"]}),
         ("load t missing file", "catalog",
@@ -137,11 +143,13 @@ def test_single_server_reference(single_server):
         "reload unknown name": "unknown_index",
         "reload scheme not a string": "bad_request",
         "reload unknown scheme": "bad_request",
+        "reload scheme=interval": "bad_request",
         "create t": "ok",
         "reload t missing graph": "reload_failed",
         "create unknown scheme": "bad_request",
         "build t": "ok",
         "build t unknown scheme": "bad_request",
+        "build t scheme=interval": "bad_request",
         "load t": "ok",
         "load t missing file": "reload_failed",
         "quota t": "ok",

@@ -14,6 +14,11 @@ with ``publish_index`` → ``attach_index``.  A reloaded index answers
 through the paths above plus :class:`~repro.core.fastkernel.FastKernel`
 — pure, and compiled when the C extension is built.
 
+They also run *served* (ids ending ``-served``): each graph goes through
+``catalog build`` on one live server, which serves the index's image,
+and is answered over the JSON and the binary protocol — the path a
+client actually sees.
+
 A second axis cross-checks the two construction backends: every seeded
 graph is built with ``backend="python"`` and ``backend="fast"`` and the
 interval labels, link tables, and query answers must match bit for bit
@@ -37,6 +42,7 @@ from repro.core.base import available_schemes, build_index
 from repro.core.fastkernel import FastKernel, compiled_available
 from repro.core.pipeline import run_pipeline
 from repro.core.serialize import dumps_index, loads_index
+from repro.core.service import QueryService
 from repro.core.shm import attach_index, publish_index
 from repro.graph.closure import transitive_closure_bitsets
 from repro.graph.digraph import DiGraph
@@ -46,6 +52,9 @@ from repro.graph.generators import (
     random_tree,
     single_rooted_dag,
 )
+from repro.graph.io import write_edge_list
+from repro.server.client import BinaryReachClient, ReachClient
+from repro.server.server import ReachServer, ServerThread
 
 SEEDS = range(17)
 
@@ -176,6 +185,52 @@ def test_scheme_matches_bfs_ground_truth(family, seed, scheme,
             f"{scheme} disagrees with BFS ground truth via "
             f"{'/'.join(failures)} on family={family} seed={seed}; "
             f"minimised reproducer: pair={pair} edges={edges}")
+
+
+# ---------------------------------------------------------------------
+# served axis: installed by `catalog build`, answered over the wire
+# ---------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def gateway():
+    """One live server; every served case builds its own entry."""
+    server = ReachServer(QueryService(build_index(random_dag(4, 3, seed=0))))
+    with ServerThread(server) as handle:
+        yield handle.port
+
+
+@pytest.mark.parametrize("scheme", ["dual-i", "dual-ii"],
+                         ids=lambda scheme: f"{scheme}-served")
+@pytest.mark.parametrize("family,seed", CASES,
+                         ids=[f"{f}-s{s}" for f, s in CASES])
+def test_served_index_matches_bfs_ground_truth(family, seed, scheme,
+                                               gateway, tmp_path) -> None:
+    graph = FAMILIES[family](seed)
+    truth = ground_truth(graph)
+    path = tmp_path / "graph.edges"
+    write_edge_list(graph, path)
+    nodes = list(graph.nodes())
+    pairs = [(u, v) for u in nodes for v in nodes]
+    expected = [truth(u, v) for u, v in pairs]
+    name = f"{family}-s{seed}-{scheme}"
+    with ReachClient(port=gateway) as client:
+        index_id = client.catalog("create", name=name,
+                                  scheme=scheme)["index_id"]
+        try:
+            client.catalog("build", name=name, graph=str(path))
+            answers = {"json": client.query_batch(pairs, index=name)}
+            with BinaryReachClient(port=gateway,
+                                   index_id=index_id) as binary:
+                answers["binary"] = binary.query_batch(pairs)
+        finally:
+            client.catalog("drop", name=name)
+    for protocol, got in answers.items():
+        wrong = [pair for pair, have, want in zip(pairs, got, expected)
+                 if have != want]
+        assert not wrong, (
+            f"served {scheme} disagrees with BFS ground truth over "
+            f"{protocol} on family={family} seed={seed}: {len(wrong)} "
+            f"pairs, first {wrong[0]}")
 
 
 # ---------------------------------------------------------------------

@@ -27,6 +27,7 @@ import shutil
 import pytest
 
 from repro.core.base import build_index
+from repro.core.serialize import dumps_index
 from repro.exceptions import CorruptJournalError
 from repro.graph.generators import gnm_random_digraph
 from repro.server.durability import (
@@ -315,7 +316,9 @@ class TestRestoreCatalog:
         boot = restore_catalog(
             state, default_factory=lambda: (index, "dual-i"))
         assert boot.default.generation == 1
-        assert boot.default.index is index
+        # The factory's index is served as its image, the saved bytes.
+        assert boot.default.index.image == dumps_index(index) == (
+            tmp_path / state.entry("default").artifact).read_bytes()
         assert not boot.degraded
         state.close()
 
@@ -365,7 +368,7 @@ class TestRestoreCatalog:
         reopened = _fresh(tmp_path)
         boot = restore_catalog(
             reopened, default_factory=lambda: (index, "dual-i"))
-        assert boot.default.index is index
+        assert boot.default.index.image == dumps_index(index)
         assert boot.default.generation == 2  # rebuild is a new gen
         assert boot.degraded
         reopened.close()

@@ -31,8 +31,11 @@ class TestConstruction:
         # Transitive links: 9->[6,9), 7->[1,5), 9->[1,5).
         # Endpoints: {1, 5, 6, 9}; at y=5 the alive set becomes empty,
         # at y=9 it becomes empty again.
-        assert tree.row_ys == [1, 5, 6, 9]
+        assert tree.row_ys.tolist() == [1, 5, 6, 9]
         assert tree.rows == [[7, 9], [], [9], []]
+        # Stored CSR, as the index image holds it.
+        assert tree.row_offsets.tolist() == [0, 2, 2, 3, 3]
+        assert tree.row_tails.tolist() == [7, 9, 9]
 
     def test_row_count_bounded_by_2t(self):
         g = random_dag(50, 130, seed=1)
@@ -44,7 +47,7 @@ class TestConstruction:
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            TLCSearchTree([1, 2], [[1]])
+            TLCSearchTree([1, 2], [0, 1], [1])  # two rows, one offset pair
 
     def test_collapsing_identical_rows(self):
         """Rows whose alive multiset does not change are not duplicated."""
@@ -54,7 +57,7 @@ class TestConstruction:
         links = (Link(4, 1, 5), Link(4, 5, 9))
         table = LinkTable(links=links, xs=(4,), ys=(1, 5))
         tree = build_tlc_search_tree(table)
-        assert tree.row_ys == [1, 9]
+        assert tree.row_ys.tolist() == [1, 9]
         assert tree.rows == [[4], []]
 
     def test_repr(self, paper_graph):
